@@ -8,10 +8,12 @@
  *
  * `--json PATH` switches to the planning-path wall-clock harness: it
  * times the chooseConfig sweep (cold vs memoised), the device mapper
- * (full Hungarian solve vs identity fast path) and the migration planner
- * at 32/64/128 instances and writes a machine-readable summary, which CI
- * archives to seed the perf trajectory.  The memoised sweep must stay
- * >= 2x faster than the cold sweep at 128 instances.
+ * (full Hungarian solve vs identity fast path), the migration planner,
+ * the link schedule and the full replan pass (mapper + planner + link
+ * schedule) at 32 to 512 instances and writes a machine-readable
+ * summary, which CI archives to seed the perf trajectory.  The memoised
+ * sweep must stay >= 2x faster than the cold sweep at 128 instances, and
+ * the full replan pass at 512 instances must fit in 250 ms.
  */
 
 #include <benchmark/benchmark.h>
@@ -20,6 +22,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -181,7 +184,16 @@ struct PlanningRow
     /** @} */
     /** Wall-clock cost of building the link schedule itself. */
     double linkScheduleSec = 0.0;
+    /**
+     * One full replan pass over the reshape: device mapper, migration
+     * planner and link schedule back to back, best of kPassReps.
+     */
+    double fullPassSec = 0.0;
 };
+
+constexpr int kPassReps = 3;
+/** Wall-clock budget of one full replan pass at 512 instances. */
+constexpr double kFullPassBudgetSec = 0.250;
 
 PlanningRow
 timePlanningPath(int instances)
@@ -279,6 +291,19 @@ timePlanningPath(int instances)
         auto schedule = scheduler.build(steps, lopts);
         row.linkScheduleSec = secondsSince(t1);
         benchmark::DoNotOptimize(schedule.makespan);
+
+        row.fullPassSec = std::numeric_limits<double>::infinity();
+        for (int k = 0; k < kPassReps; ++k) {
+            const auto t2 = std::chrono::steady_clock::now();
+            const auto m = setup.mapper.map(setup.snapshot, target,
+                                            setup.instances, tokens);
+            const auto p = setup.planner.plan(setup.snapshot, m, target,
+                                              tokens);
+            const auto sched = scheduler.build(
+                core::MigrationPlanner::transferSteps(p), lopts);
+            row.fullPassSec = std::min(row.fullPassSec, secondsSince(t2));
+            benchmark::DoNotOptimize(sched.makespan);
+        }
     }
     return row;
 }
@@ -289,8 +314,10 @@ runPlanningHarness(const std::string &json_path)
     std::printf("=== planning-path wall clock (chooseConfig / mapper / "
                 "planner) ===\n");
     std::vector<PlanningRow> rows;
-    for (int n : {32, 64, 128})
+    for (int n : {32, 64, 128, 256, 512})
         rows.push_back(timePlanningPath(n));
+    const PlanningRow &at128 = rows[2];
+    const PlanningRow &at512 = rows[4];
 
     for (const auto &r : rows) {
         std::printf("  n=%3d  candidates=%5zu  chooseConfig cold %8.3f ms  "
@@ -303,12 +330,13 @@ runPlanningHarness(const std::string &json_path)
                     r.mapperFullSec * 1e3, r.mapperIdentitySec * 1e3,
                     r.plannerSec * 1e3);
         std::printf("         migration makespan serialized %8.3f s  "
-                    "interleaved %8.3f s (%.2fx)  schedule build %8.3f ms\n",
+                    "interleaved %8.3f s (%.2fx)  schedule build %8.3f ms  "
+                    "full pass %8.3f ms\n",
                     r.serializedMakespan, r.interleavedMakespan,
                     r.interleavedMakespan > 0.0
                         ? r.serializedMakespan / r.interleavedMakespan
                         : 0.0,
-                    r.linkScheduleSec * 1e3);
+                    r.linkScheduleSec * 1e3, r.fullPassSec * 1e3);
     }
 
     std::ofstream os(json_path);
@@ -329,7 +357,8 @@ runPlanningHarness(const std::string &json_path)
            << r.serializedMakespan
            << ", \"migration_interleaved_makespan_s\": "
            << r.interleavedMakespan
-           << ", \"link_schedule_build_s\": " << r.linkScheduleSec << "}"
+           << ", \"link_schedule_build_s\": " << r.linkScheduleSec
+           << ", \"full_pass_s\": " << r.fullPassSec << "}"
            << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     os << "]\n";
@@ -337,14 +366,13 @@ runPlanningHarness(const std::string &json_path)
                 json_path.c_str());
 
     // The acceptance bar CI watches: memoisation must pay off at scale.
-    const auto &big = rows.back();
-    if (big.chooseWarmSec * 2.0 > big.chooseColdSec) {
+    if (at128.chooseWarmSec * 2.0 > at128.chooseColdSec) {
         std::fprintf(stderr,
                      "FAIL: memoised sweep at %d instances is only %.2fx "
                      "faster than cold (need >= 2x)\n",
-                     big.instances,
-                     big.chooseWarmSec > 0.0
-                         ? big.chooseColdSec / big.chooseWarmSec
+                     at128.instances,
+                     at128.chooseWarmSec > 0.0
+                         ? at128.chooseColdSec / at128.chooseWarmSec
                          : 0.0);
         return 1;
     }
@@ -362,6 +390,17 @@ runPlanningHarness(const std::string &json_path)
                          r.instances);
             return 1;
         }
+    }
+    // Third bar: the grace-window planning budget.  One full replan pass
+    // (mapper, planner, link schedule) at 512 instances must finish in
+    // kFullPassBudgetSec of wall time.
+    if (at512.fullPassSec > kFullPassBudgetSec) {
+        std::fprintf(stderr,
+                     "FAIL: full replan pass at %d instances took %.1f ms "
+                     "(budget %.0f ms)\n",
+                     at512.instances, at512.fullPassSec * 1e3,
+                     kFullPassBudgetSec * 1e3);
+        return 1;
     }
     return 0;
 }

@@ -1,6 +1,9 @@
 #include "core/device_mapper.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <map>
 #include <numeric>
 #include <stdexcept>
 #include <unordered_set>
@@ -34,6 +37,9 @@ buildSlots(const par::Topology &topo, int gpus_per_instance)
         slots.push_back(std::move(current));
     return slots;
 }
+
+/** Exact bit pattern of an intra-instance weight matrix, dims first. */
+using MatrixKey = std::vector<std::uint64_t>;
 
 } // namespace
 
@@ -82,22 +88,6 @@ DeviceMapper::planInheritance(
             inherited[d] = order[k++];
     }
     return inherited;
-}
-
-double
-DeviceMapper::edgeWeight(const engine::GpuContext *held,
-                         const par::Topology &target_topo,
-                         const par::Position &pos,
-                         const std::vector<int> &inherited) const
-{
-    if (!held || !held->hasModelContext)
-        return 0.0;
-    double w = engine::modelOverlapBytes(spec_, *held, target_topo, pos);
-    if (options_.preferCacheReuse && held->cacheTokens > 0.0 &&
-        inherited[pos.d] == held->position.d) {
-        w += engine::cacheOverlapBytes(spec_, *held, target_topo, pos);
-    }
-    return w;
 }
 
 bool
@@ -186,6 +176,7 @@ DeviceMapper::map(const engine::ContextSnapshot &snapshot,
                            old_pipeline_tokens, result)) {
         return result;
     }
+    const engine::ContextIndex contexts(snapshot);
 
     // ------------------------------------------------------------------
     // Caller-pinned replicas: bind them verbatim, pin their inheritance
@@ -232,7 +223,7 @@ DeviceMapper::map(const engine::ContextSnapshot &snapshot,
             for (int k = 0; k < per_replica; ++k) {
                 const par::Position pos =
                     topo.position(pin.newReplica * per_replica + k);
-                const auto *held = snapshot.find(pin.gpus[k]);
+                const auto *held = contexts.find(pin.gpus[k]);
                 if (!held)
                     continue;
                 result.reusedModelBytes +=
@@ -279,7 +270,7 @@ DeviceMapper::map(const engine::ContextSnapshot &snapshot,
             for (std::size_t k = 0; k < slots[s].positions.size(); ++k) {
                 const par::Position &pos = slots[s].positions[k];
                 result.mesh.assign(pos, gpus[k]);
-                const auto *held = snapshot.find(gpus[k]);
+                const auto *held = contexts.find(gpus[k]);
                 result.reusedModelBytes +=
                     held ? engine::modelOverlapBytes(spec_, *held, topo, pos)
                          : 0.0;
@@ -290,34 +281,160 @@ DeviceMapper::map(const engine::ContextSnapshot &snapshot,
 
     // Step 1 (intra-instance): score every (instance, slot) pair by its
     // best internal GPU-to-position matching, remembering the assignment.
+    //
+    // An edge weight depends only on the GPU's held context, the
+    // position's (stage, shard) and — for the cache term — whether the
+    // position's replica inherits the held pipeline.  Both overlap terms
+    // are tabulated once per free GPU over the target's (stage, shard)
+    // grid, through the same engine arithmetic the reuse accounting uses.
+    const int shards = target.pp * target.tp;
+    std::vector<std::size_t> first_gpu(num_instances + 1, 0);
+    for (std::size_t i = 0; i < num_instances; ++i) {
+        first_gpu[i + 1] =
+            first_gpu[i] + free_instances[i]->gpuIds().size();
+    }
+    std::vector<const engine::GpuContext *> held_of(first_gpu.back(),
+                                                    nullptr);
+    std::vector<double> model_w(first_gpu.back() * shards, 0.0);
+    std::vector<double> cache_w(first_gpu.back() * shards, 0.0);
+    for (std::size_t i = 0; i < num_instances; ++i) {
+        const auto gpus = free_instances[i]->gpuIds();
+        for (std::size_t u = 0; u < gpus.size(); ++u) {
+            const auto *held = contexts.find(gpus[u]);
+            if (!held || !held->hasModelContext)
+                continue;
+            const std::size_t g = first_gpu[i] + u;
+            held_of[g] = held;
+            for (int p = 0; p < target.pp; ++p) {
+                for (int m = 0; m < target.tp; ++m) {
+                    const par::Position pos{0, p, m};
+                    const int cell = p * target.tp + m;
+                    const std::size_t k = g * shards + cell;
+                    model_w[k] =
+                        engine::modelOverlapBytes(spec_, *held, topo, pos);
+                    cache_w[k] =
+                        engine::cacheOverlapBytes(spec_, *held, topo, pos);
+                }
+            }
+        }
+    }
+
+    // A few distinct weight matrices cover most (instance, slot) pairs:
+    // solve each one once, keyed on its exact bits.
     struct IntraResult
     {
         std::vector<int> gpuToSlotPos; // index into slot positions, -1
         double weight = 0.0;
     };
-    std::vector<std::vector<IntraResult>> intra(
-        num_instances, std::vector<IntraResult>(num_slots));
-    match::Matrix slot_weight(num_instances,
-                              std::vector<double>(num_slots, 0.0));
-
-    for (std::size_t i = 0; i < num_instances; ++i) {
-        const auto gpus = free_instances[i]->gpuIds();
-        for (std::size_t s = 0; s < num_slots; ++s) {
-            const auto &positions = slots[s].positions;
-            match::Matrix w(gpus.size(),
-                            std::vector<double>(positions.size(), 0.0));
-            for (std::size_t u = 0; u < gpus.size(); ++u) {
-                const auto *held = snapshot.find(gpus[u]);
-                for (std::size_t v = 0; v < positions.size(); ++v) {
-                    w[u][v] = edgeWeight(held, topo, positions[v],
-                                         result.inheritedOldPipeline);
+    std::vector<IntraResult> solved;
+    std::map<MatrixKey, int> solved_of;
+    MatrixKey key;
+    // Weights of instance i's GPUs against slot s's positions; the cache
+    // term joins when the position's replica inherits the held pipeline.
+    auto solve = [&](std::size_t i, std::size_t s, bool with_cache) {
+        const std::size_t rows = first_gpu[i + 1] - first_gpu[i];
+        const auto &positions = slots[s].positions;
+        const std::size_t cols = positions.size();
+        key.assign(2 + rows * cols, 0);
+        key[0] = rows;
+        key[1] = cols;
+        for (std::size_t u = 0; u < rows; ++u) {
+            const engine::GpuContext *held = held_of[first_gpu[i] + u];
+            for (std::size_t v = 0; v < cols; ++v) {
+                double w = 0.0;
+                if (held) {
+                    const par::Position &pos = positions[v];
+                    const int cell = pos.p * target.tp + pos.m;
+                    const std::size_t k = (first_gpu[i] + u) * shards + cell;
+                    w = model_w[k];
+                    if (with_cache && options_.preferCacheReuse &&
+                        held->cacheTokens > 0.0 &&
+                        result.inheritedOldPipeline[pos.d] ==
+                            held->position.d) {
+                        w += cache_w[k];
+                    }
                 }
+                std::memcpy(&key[2 + u * cols + v], &w, sizeof(w));
+            }
+        }
+        auto it = solved_of.find(key);
+        if (it == solved_of.end()) {
+            match::Matrix w(rows, std::vector<double>(cols, 0.0));
+            for (std::size_t u = 0; u < rows; ++u) {
+                for (std::size_t v = 0; v < cols; ++v)
+                    std::memcpy(&w[u][v], &key[2 + u * cols + v],
+                                sizeof(double));
             }
             auto a = match::maxWeightAssignment(w);
-            intra[i][s].gpuToSlotPos = a.rowToCol;
-            intra[i][s].weight = a.totalWeight;
-            slot_weight[i][s] = a.totalWeight;
+            solved.push_back(IntraResult{std::move(a.rowToCol), a.totalWeight});
+            it = solved_of.emplace(key, static_cast<int>(solved.size()) - 1)
+                     .first;
         }
+        return it->second;
+    };
+
+    // Without the cache term a slot's matrix depends only on its shape —
+    // the (stage, shard) of each position — so one solve per instance and
+    // shape covers every slot whose replica inherits none of the pipelines
+    // the instance holds cache of.  Only those inheriting slots get a
+    // matrix of their own.
+    std::vector<int> shape_of(num_slots, 0);
+    std::vector<std::size_t> shape_slot; // a slot of each shape
+    {
+        std::map<std::vector<int>, int> shape_ids;
+        for (std::size_t s = 0; s < num_slots; ++s) {
+            std::vector<int> shape;
+            shape.reserve(slots[s].positions.size());
+            for (const auto &pos : slots[s].positions)
+                shape.push_back(pos.p * target.tp + pos.m);
+            const auto [it, fresh] = shape_ids.emplace(
+                std::move(shape), static_cast<int>(shape_slot.size()));
+            if (fresh)
+                shape_slot.push_back(s);
+            shape_of[s] = it->second;
+        }
+    }
+    // Slots by the old pipelines their replicas inherit.
+    std::map<int, std::vector<std::size_t>> slots_inheriting;
+    for (std::size_t s = 0; s < num_slots; ++s) {
+        std::vector<int> olds;
+        olds.reserve(slots[s].positions.size());
+        for (const auto &pos : slots[s].positions)
+            olds.push_back(result.inheritedOldPipeline[pos.d]);
+        std::sort(olds.begin(), olds.end());
+        olds.erase(std::unique(olds.begin(), olds.end()), olds.end());
+        for (int od : olds)
+            slots_inheriting[od].push_back(s);
+    }
+
+    std::vector<int> intra(num_instances * num_slots, -1);
+    match::Matrix slot_weight(num_instances,
+                              std::vector<double>(num_slots, 0.0));
+    std::vector<int> by_shape(shape_slot.size());
+    for (std::size_t i = 0; i < num_instances; ++i) {
+        for (std::size_t sh = 0; sh < shape_slot.size(); ++sh)
+            by_shape[sh] = solve(i, shape_slot[sh], false);
+        for (std::size_t s = 0; s < num_slots; ++s)
+            intra[i * num_slots + s] = by_shape[shape_of[s]];
+        if (options_.preferCacheReuse) {
+            std::vector<int> cached; // old pipelines cached on instance i
+            for (std::size_t g = first_gpu[i]; g < first_gpu[i + 1]; ++g) {
+                if (held_of[g] && held_of[g]->cacheTokens > 0.0)
+                    cached.push_back(held_of[g]->position.d);
+            }
+            std::sort(cached.begin(), cached.end());
+            cached.erase(std::unique(cached.begin(), cached.end()),
+                         cached.end());
+            for (int od : cached) {
+                const auto it = slots_inheriting.find(od);
+                if (it == slots_inheriting.end())
+                    continue;
+                for (std::size_t s : it->second)
+                    intra[i * num_slots + s] = solve(i, s, true);
+            }
+        }
+        for (std::size_t s = 0; s < num_slots; ++s)
+            slot_weight[i][s] = solved[intra[i * num_slots + s]].weight;
     }
 
     // Step 2 (inter-instance): match instances to slots.
@@ -330,7 +447,9 @@ DeviceMapper::map(const engine::ContextSnapshot &snapshot,
             throw std::logic_error("DeviceMapper::map: unmatched slot");
         const auto gpus = free_instances[i]->gpuIds();
         const auto &positions = slots[s].positions;
-        const auto &assignment = intra[i][s].gpuToSlotPos;
+        const auto &assignment =
+            solved[intra[static_cast<std::size_t>(i) * num_slots + s]]
+                .gpuToSlotPos;
 
         // Bind matched GPUs; positions a partial slot leaves unmatched get
         // the remaining GPUs in order.
@@ -344,7 +463,7 @@ DeviceMapper::map(const engine::ContextSnapshot &snapshot,
             result.mesh.assign(pos, gpus[u]);
             pos_taken[v] = true;
             gpu_used[u] = true;
-            const auto *held = snapshot.find(gpus[u]);
+            const auto *held = contexts.find(gpus[u]);
             if (held) {
                 result.reusedModelBytes +=
                     engine::modelOverlapBytes(spec_, *held, topo, pos);

@@ -157,12 +157,6 @@ class DeviceMapper
         const std::vector<double> &old_pipeline_tokens,
         MappingResult &result) const;
 
-    /** Reuse weight of putting GPU (with daemon state) at a position. */
-    double edgeWeight(const engine::GpuContext *held,
-                      const par::Topology &target_topo,
-                      const par::Position &pos,
-                      const std::vector<int> &inherited) const;
-
     model::ModelSpec spec_;
     cost::CostParams params_;
     DeviceMapperOptions options_;

@@ -5,6 +5,7 @@
 #include <limits>
 #include <map>
 #include <stdexcept>
+#include <tuple>
 
 #include "costmodel/latency_model.h"
 
@@ -40,20 +41,204 @@ class TransferAccumulator
     std::map<std::pair<int, int>, double> bytes_;
 };
 
+/**
+ * Where a held model context sits: its stage's layers [first, last) and
+ * its shard interval [lo, hi) of each of those layers.  Computed once per
+ * snapshot entry per analysis.
+ */
+struct HeldSpan
+{
+    bool valid = false; ///< the daemon holds model context at all
+    int first = 0;
+    int last = 0;
+    double lo = 0.0;
+    double hi = 0.0;
+};
+
+HeldSpan
+spanOf(const engine::GpuContext &held, const model::ModelSpec &spec)
+{
+    HeldSpan span;
+    if (!held.hasModelContext)
+        return span;
+    const par::Topology held_topo(held.config, spec.numLayers());
+    span.valid = true;
+    std::tie(span.first, span.last) = held_topo.stageLayers(held.position.p);
+    std::tie(span.lo, span.hi) = held_topo.shardInterval(held.position.m);
+    return span;
+}
+
+/** Length of [lo, hi) ∩ [held_lo, held_hi), or 0. */
+double
+intervalOverlap(double lo, double hi, double held_lo, double held_hi)
+{
+    return std::max(0.0, std::min(hi, held_hi) - std::max(lo, held_lo));
+}
+
 /** Fraction of a layer's shard interval [lo,hi) covered by a holder. */
 double
-coveredFraction(const engine::GpuContext &held, int layer,
-                const model::ModelSpec &spec, double lo, double hi)
+coveredFraction(const HeldSpan &held, int layer, double lo, double hi)
 {
-    if (!held.hasModelContext)
+    if (!held.valid || layer < held.first || layer >= held.last)
         return 0.0;
-    const par::Topology held_topo(held.config, spec.numLayers());
-    const auto [first, last] = held_topo.stageLayers(held.position.p);
-    if (layer < first || layer >= last)
-        return 0.0;
-    const auto [hlo, hhi] = held_topo.shardInterval(held.position.m);
-    return std::max(0.0, std::min(hi, hhi) - std::max(lo, hlo));
+    return intervalOverlap(lo, hi, held.lo, held.hi);
 }
+
+/**
+ * How well a holder covering @p cover of the needed interval serves as a
+ * source: a holder on the destination instance gets a 1e-6 bonus, which
+ * only breaks ties between equal covers.
+ */
+double
+sourceScore(double cover, bool local)
+{
+    return cover + (local ? 1e-6 : 0.0);
+}
+
+/**
+ * Source lookup over one snapshot, built once per analysis.  For each
+ * layer it keeps the layer's holders grouped by the shard interval they
+ * hold, and the holders that also carry cache, by old replica.
+ *
+ * The sources it returns are the ones a scan over every snapshot entry in
+ * order picks: the largest cover of the needed interval plus a 1e-6 bonus
+ * for sitting on the destination instance, the first in snapshot order
+ * among equal scores, never the destination GPU itself.  All holders of
+ * one interval group cover the same fraction, so only two of them can win
+ * that scan: the group's first holder on the destination instance and its
+ * first holder elsewhere.
+ */
+class HolderIndex
+{
+  public:
+    HolderIndex(const engine::ContextSnapshot &snapshot,
+                const std::vector<HeldSpan> &spans, int layers)
+        : snapshot_(snapshot), spans_(spans), groups_(layers),
+          cacheHolders_(layers)
+    {
+        for (std::size_t k = 0; k < spans.size(); ++k) {
+            const HeldSpan &span = spans[k];
+            if (!span.valid)
+                continue;
+            const engine::GpuContext &g = snapshot.gpus[k];
+            for (int l = span.first; l < span.last; ++l) {
+                auto &groups = groups_[static_cast<std::size_t>(l)];
+                auto it = std::find_if(
+                    groups.begin(), groups.end(), [&span](const Group &gr) {
+                        return gr.lo == span.lo && gr.hi == span.hi;
+                    });
+                if (it == groups.end())
+                    it = groups.insert(groups.end(),
+                                       Group{span.lo, span.hi, {}, {}});
+                it->entries.push_back(static_cast<int>(k));
+                it->byInstance.emplace_back(g.instance, static_cast<int>(k));
+                if (g.cacheTokens > 0.0 && g.position.d >= 0) {
+                    auto &by_replica =
+                        cacheHolders_[static_cast<std::size_t>(l)];
+                    const auto d = static_cast<std::size_t>(g.position.d);
+                    if (by_replica.size() <= d)
+                        by_replica.resize(d + 1);
+                    by_replica[d].push_back(static_cast<int>(k));
+                }
+            }
+        }
+        for (auto &groups : groups_) {
+            for (Group &gr : groups)
+                std::sort(gr.byInstance.begin(), gr.byInstance.end());
+        }
+    }
+
+    /** Model-context source of [lo, hi) of @p layer for @p gpu. */
+    const engine::GpuContext *
+    modelSource(int layer, double lo, double hi, par::GpuId gpu,
+                int dst_inst) const
+    {
+        int best = -1;
+        double best_score = 0.0;
+        auto consider = [&](int k, double score) {
+            if (score > best_score ||
+                (score == best_score && best >= 0 && k < best)) {
+                best = k;
+                best_score = score;
+            }
+        };
+        for (const Group &gr : groups_[static_cast<std::size_t>(layer)]) {
+            const double cover = intervalOverlap(lo, hi, gr.lo, gr.hi);
+            if (cover <= 0.0)
+                continue;
+            for (int k : gr.entries) {
+                const engine::GpuContext &g = entry(k);
+                if (g.gpu != gpu && g.instance != dst_inst) {
+                    consider(k, sourceScore(cover, false));
+                    break;
+                }
+            }
+            for (auto it = std::lower_bound(
+                     gr.byInstance.begin(), gr.byInstance.end(),
+                     std::make_pair(dst_inst, -1));
+                 it != gr.byInstance.end() && it->first == dst_inst; ++it) {
+                if (entry(it->second).gpu != gpu) {
+                    consider(it->second, sourceScore(cover, true));
+                    break;
+                }
+            }
+        }
+        return best < 0 ? nullptr : &entry(best);
+    }
+
+    /** Cache source of [lo, hi) of @p layer among @p replica's holders. */
+    const engine::GpuContext *
+    cacheSource(int layer, double lo, double hi, par::GpuId gpu,
+                int dst_inst, int replica) const
+    {
+        const auto &by_replica =
+            cacheHolders_[static_cast<std::size_t>(layer)];
+        if (replica < 0 ||
+            static_cast<std::size_t>(replica) >= by_replica.size())
+            return nullptr;
+        const engine::GpuContext *best = nullptr;
+        double best_score = 0.0;
+        for (int k : by_replica[static_cast<std::size_t>(replica)]) {
+            const engine::GpuContext &g = entry(k);
+            if (g.gpu == gpu)
+                continue;
+            const HeldSpan &span = spans_[static_cast<std::size_t>(k)];
+            const double cover = intervalOverlap(lo, hi, span.lo, span.hi);
+            if (cover <= 0.0)
+                continue;
+            const double score = sourceScore(cover, g.instance == dst_inst);
+            if (score > best_score) {
+                best_score = score;
+                best = &g;
+            }
+        }
+        return best;
+    }
+
+  private:
+    /** Holders of one layer that hold the same shard interval of it. */
+    struct Group
+    {
+        double lo = 0.0;
+        double hi = 0.0;
+        /** Snapshot indices, ascending. */
+        std::vector<int> entries;
+        /** (instance, snapshot index), ascending. */
+        std::vector<std::pair<int, int>> byInstance;
+    };
+
+    const engine::GpuContext &
+    entry(int k) const
+    {
+        return snapshot_.gpus[static_cast<std::size_t>(k)];
+    }
+
+    const engine::ContextSnapshot &snapshot_;
+    const std::vector<HeldSpan> &spans_;
+    std::vector<std::vector<Group>> groups_;
+    /** cacheHolders_[layer][replica]: snapshot indices, ascending. */
+    std::vector<std::vector<std::vector<int>>> cacheHolders_;
+};
 
 } // namespace
 
@@ -128,11 +313,23 @@ MigrationPlanner::analyze(const engine::ContextSnapshot &snapshot,
                            std::vector<std::vector<int>>(target.pp));
     out.cacheInvolves.assign(target.dp, false);
 
+    // Every snapshot entry's span, the GPU-id index and the holder index
+    // the source picks run on.
+    const engine::ContextIndex contexts(snapshot);
+    std::vector<HeldSpan> spans;
+    spans.reserve(snapshot.gpus.size());
+    for (const auto &g : snapshot.gpus)
+        spans.push_back(spanOf(g, spec_));
+    const HolderIndex holders(snapshot, spans, layers);
+
     for (int i = 0; i < topo.size(); ++i) {
         const par::Position pos = topo.position(i);
         const par::GpuId gpu = mapping.mesh.gpuAt(pos);
         const int dst_inst = cluster::Instance::instanceOfGpu(gpu, gpi);
-        const auto *own = snapshot.find(gpu);
+        const auto *own = contexts.find(gpu);
+        const HeldSpan own_span =
+            own ? spans[static_cast<std::size_t>(own - snapshot.gpus.data())]
+                : HeldSpan{};
         const auto [lo, hi] = topo.shardInterval(pos.m);
         const auto [first, last] = topo.stageLayers(pos.p);
 
@@ -145,8 +342,7 @@ MigrationPlanner::analyze(const engine::ContextSnapshot &snapshot,
 
         for (int l = first; l < last; ++l) {
             const double needed_frac = hi - lo;
-            const double own_frac =
-                own ? coveredFraction(*own, l, spec_, lo, hi) : 0.0;
+            const double own_frac = coveredFraction(own_span, l, lo, hi);
             double missing_frac = needed_frac - own_frac;
             out.reusedBytes += own_frac * spec_.layerWeightBytes();
             if (missing_frac <= 1e-12)
@@ -164,7 +360,7 @@ MigrationPlanner::analyze(const engine::ContextSnapshot &snapshot,
                     own && own->hasModelContext && own->cacheTokens > 0.0 &&
                     own->position.d == inherit;
                 const double own_cache_frac =
-                    own_cache ? coveredFraction(*own, l, spec_, lo, hi) : 0.0;
+                    own_cache ? coveredFraction(own_span, l, lo, hi) : 0.0;
                 cache_missing_frac =
                     std::max(0.0, needed_frac - own_cache_frac);
             }
@@ -174,33 +370,11 @@ MigrationPlanner::analyze(const engine::ContextSnapshot &snapshot,
 
             // Pick a source: a daemon holding this layer with the largest
             // interval overlap, preferring the destination instance.
-            const engine::GpuContext *best = nullptr;
-            double best_score = 0.0;
-            const engine::GpuContext *best_cache = nullptr;
-            double best_cache_score = 0.0;
-            for (const auto &g : snapshot.gpus) {
-                if (g.gpu == gpu)
-                    continue;
-                const double cover = coveredFraction(g, l, spec_, lo, hi);
-                if (cover <= 0.0)
-                    continue;
-                const double local_bonus =
-                    g.instance == dst_inst ? 1e-6 : 0.0;
-                if (cover + local_bonus > best_score) {
-                    best_score = cover + local_bonus;
-                    best = &g;
-                }
-                if (g.cacheTokens > 0.0 && g.position.d == inherit &&
-                    cover + local_bonus > best_cache_score) {
-                    best_cache_score = cover + local_bonus;
-                    best_cache = &g;
-                }
-            }
-
             if (missing_frac > 0.0) {
                 const double bytes = missing_frac * spec_.layerWeightBytes();
                 out.movedModelBytes += bytes;
-                if (best) {
+                if (const auto *best =
+                        holders.modelSource(l, lo, hi, gpu, dst_inst)) {
                     layer_acc[l].add(best->instance, dst_inst, bytes);
                 } else {
                     // No live replica: cold load from disk/S3 (§4.2).
@@ -214,7 +388,8 @@ MigrationPlanner::analyze(const engine::ContextSnapshot &snapshot,
                 const double bytes = cache_missing_frac * cache_layer_bytes;
                 out.movedCacheBytes += bytes;
                 out.cacheInvolves[pos.d] = true;
-                if (best_cache)
+                if (const auto *best_cache = holders.cacheSource(
+                        l, lo, hi, gpu, dst_inst, inherit))
                     cache_acc.add(best_cache->instance, dst_inst, bytes);
                 else
                     cache_cold += bytes; // unrecoverable; treated as loss
@@ -226,11 +401,12 @@ MigrationPlanner::analyze(const engine::ContextSnapshot &snapshot,
     // ------------------------------------------------------------------
     // 2. Per-layer memory deltas: stale copies freed on each instance.
     // ------------------------------------------------------------------
-    for (const auto &g : snapshot.gpus) {
-        if (!g.hasModelContext)
+    for (std::size_t k = 0; k < snapshot.gpus.size(); ++k) {
+        const engine::GpuContext &g = snapshot.gpus[k];
+        if (!spans[k].valid)
             continue;
-        const par::Topology held_topo(g.config, spec_.numLayers());
-        const auto [first, last] = held_topo.stageLayers(g.position.p);
+        const int first = spans[k].first;
+        const int last = spans[k].last;
         const double old_slice =
             spec_.layerWeightBytes() / g.config.tp;
         // The part of each old layer slice the GPU keeps in place.

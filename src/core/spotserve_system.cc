@@ -620,6 +620,9 @@ SpotServeSystem::beginReconfig(const par::ParallelConfig &target,
                         std::move(kept),
                         std::move(touched),
                         {},
+                        {},
+                        -1,
+                        false,
                         {}};
 
     // Arranger: decide whether moving the cache beats recomputation and

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <queue>
 
 namespace spotserve {
 namespace cost {
@@ -19,15 +21,186 @@ struct Item
     double rate = 1.0;
     LinkId links[2];
     int numLinks = 0;
+    /** The links' entries in the dense link table. */
+    int slots[2] = {0, 0};
 
     double firstStart = -1.0;
     double finish = 0.0;
     bool done = false;
+    bool running = false;
     /** Open slice being extended while the item keeps running. */
     int openSlice = -1;
 };
 
 constexpr double kEps = 1e-12;
+
+/**
+ * The running set of the event-driven priority scan, kept current
+ * between events instead of rescanned.
+ *
+ * The scan's rule: walking the unfinished items in priority order, an
+ * item runs when it is eligible and none of its links is externally held
+ * or already granted to an earlier item this event.  From one event to
+ * the next that outcome changes only where its inputs changed: links
+ * freed by a completion, a preemption or an external release, and steps
+ * that became eligible (both only ever loosen).  Every item using a link
+ * sits in that link's queue in priority order; a change re-decides the
+ * items it can reach, and re-decisions run in priority order, so every
+ * item is decided after all items ahead of it — exactly as in the scan.
+ *
+ *  - An item that starts running preempts the later owners of its links;
+ *    their other links are freed.
+ *  - A freed link re-decides the next item in its queue; if that item is
+ *    still blocked elsewhere, the one after it, and so on until an item
+ *    takes the link.
+ */
+class RunningSet
+{
+  public:
+    RunningSet(std::vector<Item> &items, std::size_t num_links)
+        : items_(items), next_(2 * items.size(), -1),
+          prev_(2 * items.size(), -1), head_(num_links, -1),
+          tail_(num_links, -1), owner_(num_links, -1),
+          marks_(items.size(), 0)
+    {
+        for (std::size_t i = 0; i < items.size(); ++i) {
+            for (int k = 0; k < items[i].numLinks; ++k) {
+                const int node = static_cast<int>(2 * i) + k;
+                const auto l = static_cast<std::size_t>(items[i].slots[k]);
+                prev_[node] = tail_[l];
+                if (tail_[l] >= 0)
+                    next_[static_cast<std::size_t>(tail_[l])] = node;
+                else
+                    head_[l] = node;
+                tail_[l] = node;
+            }
+        }
+    }
+
+    /** Re-decide @p item at the next settle(). */
+    void decide(int item) { mark(item, kDecide); }
+
+    /** Link @p slot lost an external hold: re-decide its queue head. */
+    void
+    externalRelease(int slot)
+    {
+        follow(head_[static_cast<std::size_t>(slot)]);
+    }
+
+    /** @p item finished: free its links and leave every queue. */
+    void finish(int item)
+    {
+        stop(item);
+        Item &it = items_[static_cast<std::size_t>(item)];
+        for (int k = 0; k < it.numLinks; ++k) {
+            const int node = 2 * item + k;
+            const auto l = static_cast<std::size_t>(it.slots[k]);
+            const int p = prev_[static_cast<std::size_t>(node)];
+            const int n = next_[static_cast<std::size_t>(node)];
+            (p >= 0 ? next_[static_cast<std::size_t>(p)] : head_[l]) = n;
+            (n >= 0 ? prev_[static_cast<std::size_t>(n)] : tail_[l]) = p;
+        }
+    }
+
+    /**
+     * Re-decide every marked item, and everything that re-decision
+     * reaches, in priority order.  @p held(item) tells whether the item
+     * is ineligible or one of its links is externally held right now.
+     * Items that start running are appended to @p started.
+     */
+    void settle(const std::function<bool(const Item &)> &held,
+                std::vector<Item *> &started)
+    {
+        while (!queue_.empty()) {
+            const int x = queue_.top();
+            queue_.pop();
+            const unsigned char reasons = marks_[static_cast<std::size_t>(x)];
+            marks_[static_cast<std::size_t>(x)] = 0;
+            Item &it = items_[static_cast<std::size_t>(x)];
+            if (it.done)
+                continue;
+            bool free = !held(it);
+            for (int k = 0; k < it.numLinks && free; ++k)
+                free = freeAt(it.slots[k], x);
+            if (free && !it.running) {
+                for (int k = 0; k < it.numLinks; ++k) {
+                    const int o = owner_[static_cast<std::size_t>(it.slots[k])];
+                    if (o >= 0 && o != x)
+                        stop(o);
+                }
+                for (int k = 0; k < it.numLinks; ++k)
+                    owner_[static_cast<std::size_t>(it.slots[k])] = x;
+                it.running = true;
+                started.push_back(&it);
+            } else if (!free && it.running) {
+                stop(x);
+            } else if (!free) {
+                // Still blocked: a link freed up to here stays free for
+                // the next item in its queue.
+                for (int k = 0; k < it.numLinks; ++k) {
+                    if ((reasons & (1u << k)) != 0 && freeAt(it.slots[k], x))
+                        follow(next_[static_cast<std::size_t>(2 * x + k)]);
+                }
+            }
+        }
+    }
+
+  private:
+    static constexpr unsigned char kDecide = 4;
+
+    void
+    mark(int item, unsigned char reasons)
+    {
+        unsigned char &m = marks_[static_cast<std::size_t>(item)];
+        if (m == 0)
+            queue_.push(item);
+        m |= reasons;
+    }
+
+    /** Re-decide the item at queue node @p node, following its link. */
+    void
+    follow(int node)
+    {
+        if (node >= 0)
+            mark(node / 2, static_cast<unsigned char>(1u << (node % 2)));
+    }
+
+    /** No earlier item holds @p slot (item @p x may, or a later one). */
+    bool
+    freeAt(int slot, int x) const
+    {
+        const int o = owner_[static_cast<std::size_t>(slot)];
+        return o < 0 || o >= x;
+    }
+
+    /** @p item stops running: its links free up behind it. */
+    void
+    stop(int item)
+    {
+        Item &it = items_[static_cast<std::size_t>(item)];
+        if (!it.running)
+            return;
+        it.running = false;
+        for (int k = 0; k < it.numLinks; ++k) {
+            int &o = owner_[static_cast<std::size_t>(it.slots[k])];
+            if (o == item) {
+                o = -1;
+                follow(next_[static_cast<std::size_t>(2 * item + k)]);
+            }
+        }
+    }
+
+    std::vector<Item> &items_;
+    /** Per-link queues: node 2i+k is item i's k-th link. @{ */
+    std::vector<int> next_, prev_;
+    std::vector<int> head_, tail_;
+    /** @} */
+    /** Running item holding each link, or -1. */
+    std::vector<int> owner_;
+    /** Per item: re-decision pending (kDecide) / link k freed (1 << k). */
+    std::vector<unsigned char> marks_;
+    std::priority_queue<int, std::vector<int>, std::greater<>> queue_;
+};
 
 } // namespace
 
@@ -84,81 +257,115 @@ LinkSchedule::build(const std::vector<TransferStep> &steps,
         }
     }
 
-    // Per-step wire-item bookkeeping for the serialized barrier.
+    // Per-step wire-item bookkeeping for the serialized barrier, and each
+    // step's first item (items are flattened in step order).
     std::vector<int> wirePending(steps.size(), 0);
+    std::vector<int> stepBegin(steps.size() + 1, 0);
     for (const Item &it : items) {
         if (!it.coldLoad)
             ++wirePending[static_cast<std::size_t>(it.step)];
+        ++stepBegin[static_cast<std::size_t>(it.step) + 1];
     }
+    for (std::size_t s = 0; s < steps.size(); ++s)
+        stepBegin[s + 1] += stepBegin[s];
+
+    // Dense link table: every link an item uses or an external hold names
+    // gets a slot holding its external busy horizon.
+    std::map<LinkId, int> slotOf;
+    auto slot = [&slotOf](const LinkId &l) {
+        return slotOf.emplace(l, static_cast<int>(slotOf.size()))
+            .first->second;
+    };
+    for (Item &it : items) {
+        for (int k = 0; k < it.numLinks; ++k)
+            it.slots[k] = slot(it.links[k]);
+    }
+    for (const auto &[link, until] : initial_busy)
+        slot(link);
+    std::vector<double> externalUntil(
+        slotOf.size(), -std::numeric_limits<double>::infinity());
+    // External holds by release time: (until, slot), ascending.
+    std::vector<std::pair<double, int>> releases;
+    releases.reserve(initial_busy.size());
+    for (const auto &[link, until] : initial_busy) {
+        const int sl = slotOf[link];
+        externalUntil[static_cast<std::size_t>(sl)] = until;
+        releases.emplace_back(until, sl);
+    }
+    std::sort(releases.begin(), releases.end());
+    std::size_t nextRelease = 0;
+
+    // Serialized mode: the first step with wire items still pending.  A
+    // step's wire items are eligible once every earlier step's wire items
+    // completed; disk loads are always eligible — the legacy cursor
+    // overlapped them with the whole wire schedule.
+    std::size_t firstWirePending = 0;
 
     // ------------------------------------------------------------------
     // Event-driven preemptive list schedule.  At every event the running
-    // set is rebuilt from scratch in priority order; items already flat-
-    // tened in that order, so a plain scan grants links deterministically.
+    // set is the outcome of a priority-order scan over the unfinished
+    // items (items were flattened in that order): an item runs when each
+    // of its links is free and not granted to an earlier item.  The
+    // RunningSet keeps that outcome current between events.
     // ------------------------------------------------------------------
-    std::map<LinkId, double> busy = initial_busy; // external holds only
-    auto linkFreeAt = [&](const LinkId &l) {
-        auto it = busy.find(l);
-        return it == busy.end() ? -std::numeric_limits<double>::infinity()
-                                : it->second;
-    };
-
-    // A step's wire items are eligible once every earlier step's wire
-    // items completed (serialized mode); disk loads are always eligible —
-    // the legacy cursor overlapped them with the whole wire schedule.
-    auto eligible = [&](const Item &it) {
-        if (options.interleave || it.coldLoad)
-            return true;
-        for (int s = 0; s < it.step; ++s) {
-            if (wirePending[static_cast<std::size_t>(s)] > 0)
-                return false;
-        }
-        return true;
-    };
-
-    std::size_t doneCount = 0;
     double t = t0;
-    // Never start before an externally-held link frees if that is the
-    // only work available; collect those horizons as candidate events.
-    while (doneCount < items.size()) {
-        // Rebuild the running set.
-        std::vector<LinkId> held;
-        std::vector<Item *> running;
-        for (Item &it : items) {
-            if (it.done || !eligible(it))
-                continue;
-            bool free = true;
-            for (int k = 0; k < it.numLinks; ++k) {
-                if (linkFreeAt(it.links[k]) > t + kEps ||
-                    std::find(held.begin(), held.end(), it.links[k]) !=
-                        held.end()) {
-                    free = false;
-                    break;
-                }
+    RunningSet runningSet(items, slotOf.size());
+    for (std::size_t i = 0; i < items.size(); ++i)
+        runningSet.decide(static_cast<int>(i));
+    auto held = [&](const Item &it) {
+        if (!options.interleave && !it.coldLoad &&
+            static_cast<std::size_t>(it.step) > firstWirePending)
+            return true;
+        for (int k = 0; k < it.numLinks; ++k) {
+            if (externalUntil[static_cast<std::size_t>(it.slots[k])] >
+                t + kEps)
+                return true;
+        }
+        return false;
+    };
+    std::size_t unfinished = items.size();
+    std::vector<Item *> running, started;
+    while (unfinished > 0) {
+        // External holds released by now can no longer bound an event.
+        while (nextRelease < releases.size() &&
+               releases[nextRelease].first <= t + kEps) {
+            runningSet.externalRelease(releases[nextRelease].second);
+            ++nextRelease;
+        }
+        while (firstWirePending < wirePending.size() &&
+               wirePending[firstWirePending] == 0) {
+            ++firstWirePending;
+            if (!options.interleave && firstWirePending < steps.size()) {
+                for (int i = stepBegin[firstWirePending];
+                     i < stepBegin[firstWirePending + 1]; ++i)
+                    runningSet.decide(i);
             }
-            if (!free) {
-                // Preempted/blocked: close its open slice, if any.
-                it.openSlice = -1;
-                continue;
-            }
-            for (int k = 0; k < it.numLinks; ++k)
-                held.push_back(it.links[k]);
-            running.push_back(&it);
         }
 
+        started.clear();
+        runningSet.settle(held, started);
+        // Preempted/blocked: an item that stopped closes its open slice.
+        std::erase_if(running, [](Item *it) {
+            if (it->running)
+                return false;
+            it->openSlice = -1;
+            return true;
+        });
+        running.insert(running.end(), started.begin(), started.end());
+        std::sort(running.begin(), running.end());
+
+        const double nextExternal =
+            nextRelease < releases.size()
+                ? releases[nextRelease].first
+                : std::numeric_limits<double>::infinity();
         if (running.empty()) {
             // Everything pending is blocked on externally-busy links
             // (or, in serialized mode, on a barrier that resolves at a
             // completion — impossible without running items).  Hop to the
             // next external release.
-            double next = std::numeric_limits<double>::infinity();
-            for (const auto &[link, until] : busy) {
-                if (until > t + kEps)
-                    next = std::min(next, until);
-            }
-            if (!std::isfinite(next))
+            if (!std::isfinite(nextExternal))
                 break; // defensive: nothing can ever run
-            t = next;
+            t = nextExternal;
             continue;
         }
 
@@ -168,10 +375,7 @@ LinkSchedule::build(const std::vector<TransferStep> &steps,
         double tNext = std::numeric_limits<double>::infinity();
         for (const Item *it : running)
             tNext = std::min(tNext, t + it->remaining / it->rate);
-        for (const auto &[link, until] : busy) {
-            if (until > t + kEps)
-                tNext = std::min(tNext, until);
-        }
+        tNext = std::min(tNext, nextExternal);
 
         // Advance every running item to tNext, extending open slices.
         for (Item *it : running) {
@@ -207,11 +411,17 @@ LinkSchedule::build(const std::vector<TransferStep> &steps,
                 it->openSlice = -1;
                 if (!it->coldLoad)
                     --wirePending[static_cast<std::size_t>(it->step)];
-                ++doneCount;
+                --unfinished;
             } else {
                 it->remaining -= (tNext - t) * it->rate;
             }
         }
+        std::erase_if(running, [&runningSet, &items](Item *it) {
+            if (!it->done)
+                return false;
+            runningSet.finish(static_cast<int>(it - items.data()));
+            return true;
+        });
         t = tNext;
     }
 
@@ -222,14 +432,19 @@ LinkSchedule::build(const std::vector<TransferStep> &steps,
     out.stepFinish.assign(steps.size(), t0);
     // Serialized mode: an idle step still waits behind its predecessors.
     if (!options.interleave) {
+        std::vector<double> wireFinish(
+            steps.size(), -std::numeric_limits<double>::infinity());
+        for (const Item &it : items) {
+            if (!it.coldLoad) {
+                double &f = wireFinish[static_cast<std::size_t>(it.step)];
+                f = std::max(f, it.finish);
+            }
+        }
         double barrier = t0;
         for (std::size_t s = 0; s < steps.size(); ++s) {
             out.stepStart[s] = barrier;
             out.stepFinish[s] = barrier;
-            for (const Item &it : items) {
-                if (static_cast<std::size_t>(it.step) == s && !it.coldLoad)
-                    barrier = std::max(barrier, it.finish);
-            }
+            barrier = std::max(barrier, wireFinish[s]);
         }
     }
     for (const Item &it : items) {

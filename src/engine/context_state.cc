@@ -27,6 +27,29 @@ ContextSnapshot::find(par::GpuId gpu) const
     return nullptr;
 }
 
+ContextIndex::ContextIndex(const ContextSnapshot &snapshot)
+    : snapshot_(snapshot)
+{
+    par::GpuId max_gpu = par::kInvalidGpu;
+    for (const auto &g : snapshot.gpus)
+        max_gpu = std::max(max_gpu, g.gpu);
+    entryOf_.assign(static_cast<std::size_t>(max_gpu + 1), -1);
+    for (std::size_t i = 0; i < snapshot.gpus.size(); ++i) {
+        const par::GpuId gpu = snapshot.gpus[i].gpu;
+        if (gpu >= 0 && entryOf_[static_cast<std::size_t>(gpu)] < 0)
+            entryOf_[static_cast<std::size_t>(gpu)] = static_cast<int>(i);
+    }
+}
+
+const GpuContext *
+ContextIndex::find(par::GpuId gpu) const
+{
+    if (gpu < 0 || static_cast<std::size_t>(gpu) >= entryOf_.size())
+        return nullptr;
+    const int i = entryOf_[static_cast<std::size_t>(gpu)];
+    return i < 0 ? nullptr : &snapshot_.gpus[static_cast<std::size_t>(i)];
+}
+
 double
 modelOverlapBytes(const model::ModelSpec &spec, const GpuContext &held,
                   const par::Topology &target,

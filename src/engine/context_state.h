@@ -48,8 +48,33 @@ struct ContextSnapshot
 {
     std::vector<GpuContext> gpus;
 
-    /** Find the entry for @p gpu (nullptr when absent). */
+    /**
+     * Find the first entry for @p gpu (nullptr when absent).  This is a
+     * linear scan over every GPU of the snapshot: never call it inside a
+     * per-position or per-GPU loop — build a ContextIndex once per
+     * planning call instead.
+     */
     const GpuContext *find(par::GpuId gpu) const;
+};
+
+/**
+ * O(1) GPU-id lookup over a snapshot, built once per planning call.  It
+ * resolves a GPU to the same entry ContextSnapshot::find would (the first
+ * one in snapshot order).  The snapshot must outlive the index and must
+ * not change while it is used.
+ */
+class ContextIndex
+{
+  public:
+    explicit ContextIndex(const ContextSnapshot &snapshot);
+
+    /** The first entry for @p gpu, or nullptr when absent. */
+    const GpuContext *find(par::GpuId gpu) const;
+
+  private:
+    const ContextSnapshot &snapshot_;
+    /** Snapshot position of each GPU id's first entry, or -1. */
+    std::vector<int> entryOf_;
 };
 
 /**

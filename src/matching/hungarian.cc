@@ -34,29 +34,33 @@ shapeOf(const Matrix &m)
 
 /**
  * Core O(n^3) Hungarian solver, minimisation, requires rows <= cols.
- * Classic potentials formulation (1-indexed internally).
- * Returns rowToCol (0-indexed).
+ * Classic potentials formulation (1-indexed internally) over a dense
+ * row-major n x m cost array.  Returns rowToCol (0-indexed).
  */
 std::vector<int>
-solveMinRect(const Matrix &a, std::size_t n, std::size_t m)
+solveMinRect(const std::vector<double> &a, std::size_t n, std::size_t m)
 {
     std::vector<double> u(n + 1, 0.0), v(m + 1, 0.0);
     std::vector<int> p(m + 1, 0), way(m + 1, 0);
+    std::vector<double> minv(m + 1);
+    std::vector<char> used(m + 1);
 
     for (std::size_t i = 1; i <= n; ++i) {
         p[0] = static_cast<int>(i);
         std::size_t j0 = 0;
-        std::vector<double> minv(m + 1, kInf);
-        std::vector<char> used(m + 1, 0);
+        std::fill(minv.begin(), minv.end(), kInf);
+        std::fill(used.begin(), used.end(), 0);
         do {
             used[j0] = 1;
             const std::size_t i0 = p[j0];
+            const double *row = a.data() + (i0 - 1) * m;
+            const double ui0 = u[i0];
             double delta = kInf;
             std::size_t j1 = 0;
             for (std::size_t j = 1; j <= m; ++j) {
                 if (used[j])
                     continue;
-                const double cur = a[i0 - 1][j - 1] - u[i0] - v[j];
+                const double cur = row[j - 1] - ui0 - v[j];
                 if (cur < minv[j]) {
                     minv[j] = cur;
                     way[j] = static_cast<int>(j0);
@@ -88,6 +92,38 @@ solveMinRect(const Matrix &a, std::size_t n, std::size_t m)
     for (std::size_t j = 1; j <= m; ++j) {
         if (p[j] != 0)
             row_to_col[p[j] - 1] = static_cast<int>(j) - 1;
+    }
+    return row_to_col;
+}
+
+/**
+ * Solve min sum of sign * m[i][j] over a rows x cols matrix: the smaller
+ * side is matched completely (the solver runs on the transpose when
+ * there are more rows than columns).  Negation is exact, so sign = -1
+ * solves the maximisation on exactly the costs -m.
+ */
+std::vector<int>
+solveSigned(const Matrix &mat, std::size_t rows, std::size_t cols,
+            double sign)
+{
+    const bool transpose = rows > cols;
+    const std::size_t n = transpose ? cols : rows;
+    const std::size_t m = transpose ? rows : cols;
+    std::vector<double> a(n * m);
+    for (std::size_t i = 0; i < rows; ++i) {
+        for (std::size_t j = 0; j < cols; ++j) {
+            a[transpose ? j * m + i : i * m + j] = sign * mat[i][j];
+        }
+    }
+    const auto matched = solveMinRect(a, n, m);
+    if (!transpose)
+        return matched;
+    // Columns are the smaller side: every column is matched and some
+    // rows stay at -1.
+    std::vector<int> row_to_col(rows, -1);
+    for (std::size_t j = 0; j < cols; ++j) {
+        if (matched[j] >= 0)
+            row_to_col[matched[j]] = static_cast<int>(j);
     }
     return row_to_col;
 }
@@ -129,24 +165,7 @@ minCostAssignment(const Matrix &costs)
         result.rowToCol.assign(rows, -1);
         return result;
     }
-
-    if (rows <= cols) {
-        result.rowToCol = solveMinRect(costs, rows, cols);
-    } else {
-        // Transpose, solve, invert the mapping.  Columns are the smaller
-        // side, so every column is matched and some rows stay at -1.
-        Matrix t(cols, std::vector<double>(rows));
-        for (std::size_t i = 0; i < rows; ++i) {
-            for (std::size_t j = 0; j < cols; ++j)
-                t[j][i] = costs[i][j];
-        }
-        const auto col_to_row = solveMinRect(t, cols, rows);
-        result.rowToCol.assign(rows, -1);
-        for (std::size_t j = 0; j < cols; ++j) {
-            if (col_to_row[j] >= 0)
-                result.rowToCol[col_to_row[j]] = static_cast<int>(j);
-        }
-    }
+    result.rowToCol = solveSigned(costs, rows, cols, 1.0);
     result.totalWeight = matchedSum(costs, result.rowToCol);
     return result;
 }
@@ -155,19 +174,14 @@ Assignment
 maxWeightAssignment(const Matrix &weights)
 {
     auto [rows, cols] = shapeOf(weights);
+    Assignment result;
     if (rows == 0 || cols == 0) {
-        Assignment r;
-        r.rowToCol.assign(rows, -1);
-        return r;
+        result.rowToCol.assign(rows, -1);
+        return result;
     }
-    Matrix neg(rows, std::vector<double>(cols));
-    for (std::size_t i = 0; i < rows; ++i) {
-        for (std::size_t j = 0; j < cols; ++j)
-            neg[i][j] = -weights[i][j];
-    }
-    Assignment r = minCostAssignment(neg);
-    r.totalWeight = matchedSum(weights, r.rowToCol);
-    return r;
+    result.rowToCol = solveSigned(weights, rows, cols, -1.0);
+    result.totalWeight = matchedSum(weights, result.rowToCol);
+    return result;
 }
 
 Assignment

@@ -114,6 +114,10 @@ runExperimentOn(sim::Executor &executor, const model::ModelSpec &spec,
         result.salvagedBlocks = spot->salvagedBlocks();
     }
     result.hardPreemptions = instances.hardPreemptions();
+    if (injector) {
+        result.migrationKillsFired = injector->migrationKillsFired();
+        result.migrationKillFallbacks = injector->migrationKillFallbacks();
+    }
     if (const auto *base =
             dynamic_cast<const BaseServingSystem *>(system.get())) {
         result.restartedRequeues = base->restartedRequeues();

@@ -113,6 +113,12 @@ struct ExperimentResult
     long requestsRecovered = 0;
     long salvagedBlocks = 0;
     long restartedRequeues = 0;
+    /** Armed mid-migration kills (FaultPlan KillMigration* events) that
+     *  hit an instance with a transfer in flight, and those that found
+     *  none before their deadline and degraded to a plain unannounced
+     *  kill.  An armed kill that shows up in neither never came due. */
+    long migrationKillsFired = 0;
+    long migrationKillFallbacks = 0;
     /** Live KV block references still held when the run ended.  With
      *  unfinished == 0 any nonzero value is a refcount a recovery path
      *  leaked (resident requests are the only legitimate holders). */

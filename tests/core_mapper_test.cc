@@ -8,6 +8,7 @@
 #include <memory>
 
 #include "core/device_mapper.h"
+#include "fleet_scale_scenario.h"
 
 namespace spotserve::core {
 namespace {
@@ -315,6 +316,48 @@ TEST_F(MapperFixture, DeterministicMapping)
         const auto pos = a.mesh.topology().position(i);
         EXPECT_EQ(a.mesh.gpuAt(pos), b.mesh.gpuAt(pos));
     }
+}
+
+/** Digest of the mapper's decisions: mesh GPUs, inheritance, reuse. */
+std::uint64_t
+mappingDigest(const MappingResult &m)
+{
+    testing_support::Fnv1a h;
+    for (par::GpuId g : m.mesh.gpus())
+        h.add(g);
+    for (int od : m.inheritedOldPipeline)
+        h.add(od);
+    h.add(m.reusedModelBytes);
+    h.add(m.reusedCacheBytes);
+    h.add(m.neededModelBytes);
+    return h.value();
+}
+
+// Fleet-scale byte identity: a seeded 256-instance reshape (full two-step
+// solve across (P, M) shapes) and a one-instance-notice shrink (the
+// near-identity full solve).  The digests were recorded from the
+// reference implementation; any change to a placement, an inheritance
+// pick or the reuse arithmetic changes them.
+TEST(MapperFleetScale, ReshapeDecisionsAreByteIdentical)
+{
+    const testing_support::FleetScaleScenario fleet(1);
+    const auto in = fleet.reshape();
+    DeviceMapper mapper(fleet.spec, kParams);
+    const auto m = mapper.map(in.snapshot, in.target, in.instances,
+                              in.oldTokens);
+    EXPECT_EQ(mappingDigest(m), 0x525957abd77eb342ull)
+        << std::hex << mappingDigest(m);
+}
+
+TEST(MapperFleetScale, ShrinkDecisionsAreByteIdentical)
+{
+    const testing_support::FleetScaleScenario fleet(1);
+    const auto in = fleet.shrink();
+    DeviceMapper mapper(fleet.spec, kParams);
+    const auto m = mapper.map(in.snapshot, in.target, in.instances,
+                              in.oldTokens);
+    EXPECT_EQ(mappingDigest(m), 0xd7f1140e87e620eeull)
+        << std::hex << mappingDigest(m);
 }
 
 } // namespace

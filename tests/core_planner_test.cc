@@ -10,6 +10,7 @@
 
 #include "core/device_mapper.h"
 #include "core/migration_planner.h"
+#include "fleet_scale_scenario.h"
 
 namespace spotserve::core {
 namespace {
@@ -448,6 +449,82 @@ TEST_F(PlannerFixture, PlanBothMatchesTwoSeparatePasses)
     EXPECT_TRUE(pair.withCache.cacheMigrated);
     EXPECT_FALSE(pair.withoutCache.cacheMigrated);
     EXPECT_DOUBLE_EQ(pair.withoutCache.movedCacheBytes, 0.0);
+}
+
+/**
+ * Digest of a plan's decisions: byte accounting, the step order with each
+ * step's transfers and cold loads, the dependency sets and the timing.
+ */
+std::uint64_t
+planDigest(const MigrationPlan &plan)
+{
+    testing_support::Fnv1a h;
+    h.add(plan.reusedBytes);
+    h.add(plan.movedModelBytes);
+    h.add(plan.movedCacheBytes);
+    h.add(plan.coldLoadBytes);
+    h.add(plan.peakBufferBytes);
+    h.add(plan.cacheMigrated);
+    for (const auto &step : plan.steps) {
+        h.add(step.layer);
+        for (const auto &t : step.transfers) {
+            h.add(t.srcInstance);
+            h.add(t.dstInstance);
+            h.add(t.bytes);
+        }
+        for (const auto &[inst, bytes] : step.coldLoads) {
+            h.add(inst);
+            h.add(bytes);
+        }
+        h.add(step.startOffset);
+        h.add(step.finishOffset);
+    }
+    for (const auto &stages : plan.dpStepDeps) {
+        for (const auto &deps : stages) {
+            h.add(static_cast<int>(deps.size()));
+            for (int s : deps)
+                h.add(s);
+        }
+    }
+    h.add(plan.linkScheduled);
+    h.add(plan.serializedDuration);
+    h.add(plan.totalDuration);
+    for (double r : plan.pipelineResume)
+        h.add(r);
+    return h.value();
+}
+
+// Fleet-scale byte identity of the planner (see fleet_scale_scenario.h):
+// every source pick, cold load, step order and dependency set of a
+// 256-instance reshape and a one-instance-notice shrink, pinned to the
+// digests of the reference implementation.
+TEST(PlannerFleetScale, ReshapePlanIsByteIdentical)
+{
+    const testing_support::FleetScaleScenario fleet(1);
+    const auto in = fleet.reshape();
+    DeviceMapper mapper(fleet.spec, kParams);
+    MigrationPlanner planner(fleet.spec, kParams);
+    const auto m = mapper.map(in.snapshot, in.target, in.instances,
+                              in.oldTokens);
+    const auto plan = planner.plan(in.snapshot, m, in.target, in.oldTokens);
+    EXPECT_GT(plan.movedModelBytes, 0.0);
+    EXPECT_GT(plan.movedCacheBytes, 0.0);
+    EXPECT_EQ(planDigest(plan), 0xdada3097702e2b63ull)
+        << std::hex << planDigest(plan);
+}
+
+TEST(PlannerFleetScale, ShrinkPlanIsByteIdentical)
+{
+    const testing_support::FleetScaleScenario fleet(1);
+    const auto in = fleet.shrink();
+    DeviceMapper mapper(fleet.spec, kParams);
+    MigrationPlanner planner(fleet.spec, kParams);
+    const auto m = mapper.map(in.snapshot, in.target, in.instances,
+                              in.oldTokens);
+    const auto plan = planner.plan(in.snapshot, m, in.target, in.oldTokens);
+    EXPECT_GT(plan.movedModelBytes, 0.0);
+    EXPECT_EQ(planDigest(plan), 0xa8e9b97daaa0ae0aull)
+        << std::hex << planDigest(plan);
 }
 
 } // namespace

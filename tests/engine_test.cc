@@ -287,5 +287,23 @@ TEST(ContextStateTest, SnapshotFind)
     EXPECT_EQ(snap.find(6), nullptr);
 }
 
+TEST(ContextStateTest, IndexResolvesLikeFind)
+{
+    // Duplicate entries for one GPU (a stale holding next to a fresh
+    // one): the index must resolve to the first, exactly as find() does.
+    ContextSnapshot snap;
+    for (par::GpuId gpu : {7, 2, 7, 9, 2}) {
+        GpuContext c;
+        c.gpu = gpu;
+        c.cacheTokens = static_cast<double>(snap.gpus.size());
+        snap.gpus.push_back(c);
+    }
+    const ContextIndex index(snap);
+    for (par::GpuId gpu = -1; gpu <= 12; ++gpu)
+        EXPECT_EQ(index.find(gpu), snap.find(gpu)) << "gpu " << gpu;
+    EXPECT_EQ(index.find(7), &snap.gpus[0]);
+    EXPECT_EQ(index.find(2), &snap.gpus[1]);
+}
+
 } // namespace
 } // namespace spotserve::engine

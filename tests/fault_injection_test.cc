@@ -456,6 +456,16 @@ TEST(ChaosSweepTest, SpotServeSurvivesRandomFaultSchedules)
     (void)recovered; // may be 0 if every abort salvaged in-flight work
 }
 
+TEST(ChaosSweepTest, ArmedMidMigrationKillIsReported)
+{
+    // Every chaos plan arms one mid-migration kill; the result reports
+    // whether it hit an in-flight transfer or fell back to a plain kill.
+    const ChaosCase c{101, engine::KvAdmissionMode::Optimistic, true};
+    const auto r = runChaos(c);
+    EXPECT_GE(r.migrationKillsFired, 1);
+    EXPECT_LE(r.migrationKillsFired + r.migrationKillFallbacks, 1);
+}
+
 TEST(ChaosSweepTest, AblationWithoutRecoveryStaysConsistent)
 {
     // faultRecovery=false gives up salvage and pays cold restarts, but

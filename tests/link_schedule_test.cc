@@ -14,9 +14,12 @@
 #include <utility>
 #include <vector>
 
+#include "core/device_mapper.h"
+#include "core/migration_planner.h"
 #include "core/transfer_data_plane.h"
 #include "costmodel/link_schedule.h"
 #include "costmodel/migration_cost.h"
+#include "fleet_scale_scenario.h"
 #include "simcore/simulation.h"
 
 namespace spotserve {
@@ -369,6 +372,104 @@ TEST_F(DataPlaneFixture, ColdLoadMatchesClosedFormAndFiresCompletion)
     EXPECT_NEAR(again, expected, 1e-9);
     const double queued = plane.submitColdLoad({{0, bytes}});
     EXPECT_NEAR(queued, 2.0 * expected, 1e-9);
+}
+
+// ---------------------------------------------------------------------
+// Fleet-scale byte identity (see fleet_scale_scenario.h): the schedules
+// of a 256-instance reshape plan, interleaved, behind per-step barriers,
+// and against the busy horizons a previous migration left behind (the
+// TransferDataPlane path), pinned to the reference implementation's
+// digests over every slice and every step's start and finish.
+// ---------------------------------------------------------------------
+
+std::uint64_t
+scheduleDigest(const LinkScheduleResult &r)
+{
+    testing_support::Fnv1a h;
+    for (const LinkSlice &s : r.slices) {
+        h.add(s.step);
+        h.add(s.transfer);
+        h.add(s.coldLoad);
+        h.add(s.start);
+        h.add(s.finish);
+        h.add(s.bytes);
+        for (int k = 0; k < s.numLinks; ++k) {
+            h.add(static_cast<int>(s.links[k].type));
+            h.add(s.links[k].instance);
+        }
+    }
+    for (double t : r.stepStart)
+        h.add(t);
+    for (double t : r.stepFinish)
+        h.add(t);
+    h.add(r.makespan);
+    for (const auto &[link, until] : r.linkBusyUntil) {
+        h.add(static_cast<int>(link.type));
+        h.add(link.instance);
+        h.add(until);
+    }
+    return h.value();
+}
+
+class LinkScheduleFleetScale : public ::testing::Test
+{
+  protected:
+    /** The planner's transfer steps for one of the scenario's replans. */
+    static std::vector<TransferStep>
+    stepsOf(const testing_support::FleetScaleScenario &fleet,
+            const testing_support::ReplanInput &in)
+    {
+        const auto params = cost::CostParams::awsG4dn();
+        core::DeviceMapper mapper(fleet.spec, params);
+        core::MigrationPlanner planner(fleet.spec, params);
+        const auto m = mapper.map(in.snapshot, in.target, in.instances,
+                                  in.oldTokens);
+        return core::MigrationPlanner::transferSteps(
+            planner.plan(in.snapshot, m, in.target, in.oldTokens));
+    }
+
+    LinkScheduleFleetScale()
+        : params(cost::CostParams::awsG4dn()), scheduler(params),
+          reshape(stepsOf(fleet, fleet.reshape()))
+    {
+        options.setupTime = params.migrationSetupTime;
+    }
+
+    cost::CostParams params;
+    LinkSchedule scheduler;
+    testing_support::FleetScaleScenario fleet{1};
+    std::vector<TransferStep> reshape;
+    LinkScheduleOptions options;
+};
+
+TEST_F(LinkScheduleFleetScale, InterleavedScheduleIsByteIdentical)
+{
+    const auto r = scheduler.build(reshape, options);
+    EXPECT_GT(r.slices.size(), reshape.size());
+    EXPECT_EQ(scheduleDigest(r), 0xe005e394e6209884ull)
+        << std::hex << scheduleDigest(r);
+}
+
+TEST_F(LinkScheduleFleetScale, SerializedScheduleIsByteIdentical)
+{
+    options.interleave = false;
+    const auto r = scheduler.build(reshape, options);
+    EXPECT_EQ(scheduleDigest(r), 0xb652c20f04336d9full)
+        << std::hex << scheduleDigest(r);
+}
+
+TEST_F(LinkScheduleFleetScale, ScheduleOnBusyLinksIsByteIdentical)
+{
+    // A shrink migration is in flight when the reshape is submitted.
+    const auto first =
+        scheduler.build(stepsOf(fleet, fleet.shrink()), options);
+    ASSERT_FALSE(first.linkBusyUntil.empty());
+    LinkScheduleOptions later = options;
+    later.startTime = 0.5;
+    const auto r = scheduler.build(reshape, later, first.linkBusyUntil);
+    EXPECT_NE(r.stepFinish, scheduler.build(reshape, later).stepFinish);
+    EXPECT_EQ(scheduleDigest(r), 0xdeb55bcf8cbbba47ull)
+        << std::hex << scheduleDigest(r);
 }
 
 } // namespace
