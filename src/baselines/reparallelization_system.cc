@@ -18,12 +18,6 @@ ReparallelizationSystem::ReparallelizationSystem(
                   options.controller),
       dataPlane_(executor, params)
 {
-    setContinuousBatching(options_.continuousBatching);
-    setKvBudgetAdmission(options_.kvBudgetAdmission);
-    setPrefillChunkTokens(options_.prefillChunkTokens);
-    setKvAdmissionMode(options_.kvAdmissionMode);
-    setKvBlockTokens(options_.kvBlockTokens);
-    setPrefixSharing(options_.prefixSharing);
     sim_.scheduleAfter(options_.workloadCheckInterval,
                        [this] { workloadTick(); });
 }

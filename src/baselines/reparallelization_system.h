@@ -36,25 +36,6 @@ struct ReparallelizationOptions
     /** Workload monitor period. */
     double workloadCheckInterval = 30.0;
 
-    /** Iteration-level batching (same engine setting as SpotServe). */
-    bool continuousBatching = true;
-
-    /** KV-token-budget admission (same engine setting as SpotServe). */
-    bool kvBudgetAdmission = true;
-
-    /** Chunked-prefill chunk size in tokens (0 = unchunked). */
-    int prefillChunkTokens = 0;
-
-    /** KV charging mode (same engine setting as SpotServe). */
-    engine::KvAdmissionMode kvAdmissionMode =
-        engine::KvAdmissionMode::Optimistic;
-
-    /** Tokens per KV block (paged accounting; 1 = token-granular). */
-    int kvBlockTokens = 16;
-
-    /** Prefix sharing + copy-on-write (same engine setting as SpotServe). */
-    bool prefixSharing = true;
-
     core::ControllerOptions controller{};
 };
 

@@ -19,12 +19,6 @@ ReroutingSystem::ReroutingSystem(sim::Executor &executor,
       controller_(spec, params, seq, cost::ConfigSpaceOptions{},
                   options.controller)
 {
-    setContinuousBatching(options_.continuousBatching);
-    setKvBudgetAdmission(options_.kvBudgetAdmission);
-    setPrefillChunkTokens(options_.prefillChunkTokens);
-    setKvAdmissionMode(options_.kvAdmissionMode);
-    setKvBlockTokens(options_.kvBlockTokens);
-    setPrefixSharing(options_.prefixSharing);
 }
 
 long

@@ -17,7 +17,8 @@ SpotServeSystem::SpotServeSystem(sim::Executor &executor,
                                  const cost::CostParams &params,
                                  const cost::SeqSpec &seq,
                                  SpotServeOptions options)
-    : BaseServingSystem(executor, instances, requests, spec, params, seq),
+    : BaseServingSystem(executor, instances, requests, spec, params, seq,
+                        options.engine),
       options_(options),
       controller_(spec, params, seq,
                   [&options] {
@@ -33,12 +34,6 @@ SpotServeSystem::SpotServeSystem(sim::Executor &executor,
       planner_(spec, params), arranger_(latency_),
       dataPlane_(executor, params)
 {
-    setContinuousBatching(options_.continuousBatching);
-    setKvBudgetAdmission(options_.kvBudgetAdmission);
-    setPrefillChunkTokens(options_.prefillChunkTokens);
-    setKvAdmissionMode(options_.kvAdmissionMode);
-    setKvBlockTokens(options_.kvBlockTokens);
-    setPrefixSharing(options_.prefixSharing);
     // The KV budget must deduct the same migration reserve the
     // feasibility check assumed (naive double-buffering when the
     // memory-optimised planner is ablated).
@@ -938,7 +933,8 @@ SpotServeSystem::startMigration()
             // allocator could hand out.
             const long budget = replicaKvBudgetBlocks(pm.target);
             const int blk = effectiveKvBlockTokens(pm.target);
-            const engine::KvAdmissionMode mode = kvAdmissionMode();
+            const engine::KvAdmissionMode mode =
+                engineOptions().kvAdmissionMode;
             // With prefix sharing the inheriting replica holds (and the
             // migration transfers) each complete shared prefix block
             // once for the whole cohort: later members carrying a
@@ -953,7 +949,8 @@ SpotServeSystem::startMigration()
                    static_cast<int>(keep) < pm.target.batch) {
                 const auto &r = recovered[keep];
                 long charge = r.kvChargedBlocks(mode, blk);
-                if (prefixSharing() && r.request.prefixId >= 0) {
+                if (engineOptions().prefixSharing &&
+                    r.request.prefixId >= 0) {
                     const long shared = std::min<long>(
                         r.kvTokensHeld(), r.request.prefixLen);
                     for (long l = 0; l < shared / blk; ++l) {
@@ -964,8 +961,7 @@ SpotServeSystem::startMigration()
                     }
                     charge = std::max(charge, 0L);
                 }
-                if (budget != engine::kUnboundedKvBlocks &&
-                    charged + charge > budget)
+                if (charged + charge > budget)
                     break;
                 charged += charge;
                 ++keep;

@@ -23,7 +23,9 @@
  * reassigned drain.  The pre-overlap behaviour — instantaneous planning,
  * whole-deployment drain — stays selectable as overlappedReconfig = false
  * for the Figure 9-style ablation.  Every paper component can likewise be
- * disabled independently.
+ * disabled independently.  The serving engine underneath (continuous
+ * batching, KV-budget admission, paged KV, prefix sharing) is shared with
+ * the baselines and tuned through SpotServeOptions::engine.
  */
 
 #ifndef SPOTSERVE_CORE_SPOTSERVE_SYSTEM_H
@@ -59,60 +61,8 @@ struct SpotServeOptions
     /** JIT arrangement and cache-context migration (§4). */
     bool enableArranger = true;
 
-    /**
-     * Iteration-level (continuous) batching: admit queued requests into
-     * live batches at decode-iteration boundaries instead of waiting for
-     * a whole batch to run to completion.  Disable for the rigid
-     * FasterTransformer-style batching the paper inherits.
-     */
-    bool continuousBatching = true;
-
-    /**
-     * Memory-aware admission: enforce the MemoryModel's per-replica
-     * KV-cache token budget at batch formation and at every iteration
-     * boundary, instead of trusting the fixed batch cap B to imply the
-     * footprint the optimizer planned for.  Disable for the fixed-B
-     * ablation.
-     */
-    bool kvBudgetAdmission = true;
-
-    /**
-     * Chunked prefill: cap one request's prefill work per iteration at
-     * this many input tokens (0 = the whole input in one iteration),
-     * bounding the decode stall a long-input newcomer can inflict on the
-     * in-flight batch.
-     */
-    int prefillChunkTokens = 0;
-
-    /**
-     * How requests are charged against the KV budget.  Optimistic
-     * (default) charges held + predicted-output tokens, learns the
-     * output-length distribution from completions, and evicts LIFO
-     * victims at watermark pressure; Reserve keeps the worst-case
-     * (prompt + output cap) reservation for the ablation.
-     */
-    engine::KvAdmissionMode kvAdmissionMode =
-        engine::KvAdmissionMode::Optimistic;
-
-    /**
-     * KV allocation granularity in tokens per block (paged KV cache).
-     * Admission charges ceil-rounded whole blocks per request and the
-     * per-replica budget is floored to whole blocks, so the enforced
-     * budget matches what a PagedAttention-style allocator can actually
-     * hand out.  1 reproduces token-granular accounting bit-for-bit
-     * (the ablation).
-     */
-    int kvBlockTokens = 16;
-
-    /**
-     * Block-level prefix sharing with copy-on-write
-     * (engine::KvBlockStore): each replica deduplicates shared prompt
-     * prefixes, full prefix hits skip the matched prefill compute, and
-     * admission charges the post-prefix-hit physical demand.  Disable to
-     * reproduce the scalar per-request block accounting bit-for-bit (the
-     * ablation; also arithmetically identical on prefix-free workloads).
-     */
-    bool prefixSharing = true;
+    /** Engine knobs (batching, KV admission, prefix sharing). */
+    serving::EngineOptions engine{};
 
     /**
      * Expected workload rate used to size the very first deployment (the

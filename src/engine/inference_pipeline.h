@@ -56,8 +56,8 @@ struct BatchingOptions
      * <= the block budget (floor(kvBudgetTokens / kvBlockTokens)) at
      * startBatch and at every admission, and (optimistic mode) keeps the
      * *held* blocks under the block budget at every iteration boundary
-     * by evicting victims.  kUnboundedKvTokens disables the check
-     * (fixed-B ablation mode).
+     * by evicting victims.  kUnboundedKvTokens disables the check (for
+     * direct engine users; serving systems always pass a budget).
      */
     long kvBudgetTokens = kUnboundedKvTokens;
 
@@ -140,7 +140,8 @@ class InferencePipeline
          * with the number of free batch slots; the returned requests (at
          * most @p free_slots, none finished) join the live batch, entering
          * prefill unless they carry committed progress.  Leave unset for
-         * rigid FasterTransformer-style run-to-completion batching.
+         * rigid FasterTransformer-style run-to-completion batching (engine
+         * tests only; serving systems always wire it).
          */
         std::function<std::vector<ActiveRequest>(InferencePipeline &,
                                                  int free_slots)>

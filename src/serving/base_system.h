@@ -30,6 +30,51 @@
 namespace spotserve {
 namespace serving {
 
+/**
+ * The engine knobs every serving system shares, declared once.
+ * makePipeline copies them into each replica's engine::BatchingOptions
+ * (which adds the per-configuration KV budget and watermarks).
+ */
+struct EngineOptions
+{
+    /**
+     * Chunked prefill: cap one request's prefill work per iteration at
+     * this many input tokens (0 = the whole input in one iteration),
+     * bounding the decode stall a long-input newcomer can inflict on the
+     * in-flight batch.
+     */
+    int prefillChunkTokens = 0;
+
+    /**
+     * How requests are charged against the KV budget.  Optimistic
+     * charges held + predicted-output tokens, learns the output-length
+     * distribution from completions, and evicts LIFO victims at
+     * watermark pressure; Reserve keeps the worst-case (prompt + output
+     * cap) reservation.
+     */
+    engine::KvAdmissionMode kvAdmissionMode =
+        engine::KvAdmissionMode::Optimistic;
+
+    /**
+     * KV allocation granularity in tokens per block (paged KV cache,
+     * >= 1).  Admission charges ceil-rounded whole blocks per request and
+     * the per-replica budget is floored to whole blocks, so the enforced
+     * budget matches what a PagedAttention-style allocator can actually
+     * hand out.  1 reproduces token-granular accounting bit-for-bit.
+     */
+    int kvBlockTokens = 16;
+
+    /**
+     * Block-level prefix sharing with copy-on-write
+     * (engine::KvBlockStore): each replica holds shared prompt prefixes
+     * once, full prefix hits skip the matched prefill compute, and every
+     * admission path quotes the post-prefix-hit physical demand.  Off
+     * reproduces the scalar per-request block accounting bit-for-bit
+     * (also arithmetically identical on prefix-free workloads).
+     */
+    bool prefixSharing = true;
+};
+
 /** Common deployment + dispatch machinery. */
 class BaseServingSystem : public ServingSystem
 {
@@ -38,13 +83,16 @@ class BaseServingSystem : public ServingSystem
                       cluster::InstanceManager &instances,
                       RequestManager &requests, const model::ModelSpec &spec,
                       const cost::CostParams &params,
-                      const cost::SeqSpec &seq);
+                      const cost::SeqSpec &seq, EngineOptions engine = {});
 
     void onRequestArrival(const wl::Request &request) override;
     const std::vector<ConfigChange> &configHistory() const override
     {
         return history_;
     }
+
+    /** The engine knobs every pipeline of this system is built with. */
+    const EngineOptions &engineOptions() const { return engine_; }
 
     /** Current configuration if a deployment is active. */
     std::optional<par::ParallelConfig> currentConfig() const;
@@ -248,68 +296,6 @@ class BaseServingSystem : public ServingSystem
     admitAtBoundary(engine::InferencePipeline &pipeline, int free_slots);
 
     /**
-     * Disable to fall back to rigid run-to-completion batching (batches
-     * only form when a pipeline is idle); used by benches to quantify the
-     * continuous-batching win.  Takes effect for pipelines built after
-     * the call.
-     */
-    void setContinuousBatching(bool enabled) { continuousBatching_ = enabled; }
-    bool continuousBatching() const { return continuousBatching_; }
-
-    /**
-     * Memory-aware admission: enforce the per-replica KV-cache token
-     * budget MemoryModel::kvBudgetTokens promises for the deployed
-     * configuration (on by default).  Disable to fall back to fixed-B
-     * admission for the ablation benches.  Takes effect for pipelines
-     * built after the call.
-     */
-    void setKvBudgetAdmission(bool enabled) { kvBudgetAdmission_ = enabled; }
-    bool kvBudgetAdmission() const { return kvBudgetAdmission_; }
-
-    /** Chunked-prefill chunk size in tokens (0 = unchunked). */
-    void setPrefillChunkTokens(int tokens) { prefillChunkTokens_ = tokens; }
-    int prefillChunkTokens() const { return prefillChunkTokens_; }
-
-    /**
-     * KV allocation granularity in tokens per block (paged KV cache,
-     * default 16).  Admission charges every request ceil-rounded whole
-     * blocks and the per-replica budget is floored to whole blocks, so
-     * the budget the engine enforces matches what a PagedAttention-style
-     * allocator can actually hand out.  1 reproduces the token-granular
-     * accounting bit-for-bit (the ablation).  Takes effect for pipelines
-     * built after the call.
-     */
-    void setKvBlockTokens(int tokens);
-    int kvBlockTokens() const { return kvBlockTokens_; }
-
-    /**
-     * Block-level prefix sharing + copy-on-write (engine::KvBlockStore):
-     * each replica holds shared prompt prefixes once, full prefix hits
-     * skip the matched prefill compute, and every admission path quotes
-     * the post-prefix-hit physical demand.  Off reproduces the PR 5
-     * scalar block accounting bit-for-bit (the ablation); the serving
-     * systems' option structs default it on.  Takes effect for pipelines
-     * built after the call.
-     */
-    void setPrefixSharing(bool enabled) { prefixSharing_ = enabled; }
-    bool prefixSharing() const { return prefixSharing_; }
-
-    /**
-     * How admission charges requests against the KV budget (takes effect
-     * for pipelines built after the call).  Optimistic (default) charges
-     * held + predicted tokens and relies on watermark eviction; Reserve
-     * keeps PR 2's worst-case reservation for the ablation.
-     */
-    void setKvAdmissionMode(engine::KvAdmissionMode mode)
-    {
-        kvAdmissionMode_ = mode;
-    }
-    engine::KvAdmissionMode kvAdmissionMode() const
-    {
-        return kvAdmissionMode_;
-    }
-
-    /**
      * Whether the migration reserve deducted from the KV budget assumes
      * the memory-optimised planner (Algorithm 2).  Must match the
      * feasibility check that picked the deployment
@@ -324,11 +310,11 @@ class BaseServingSystem : public ServingSystem
 
     /**
      * Block granularity actually in force for replicas of @p config:
-     * kvBlockTokens(), except that a (degenerate, loudly warned) budget
-     * smaller than one block degrades to token granularity — the same
-     * fallback InferencePipeline applies — so a 1-token no-headroom
-     * budget keeps starving admission instead of rounding up to a whole
-     * block.  Every serving-side pop pairs this with
+     * engineOptions().kvBlockTokens, except that a (degenerate, loudly
+     * warned) budget smaller than one block degrades to token granularity
+     * — the same fallback InferencePipeline applies — so a 1-token
+     * no-headroom budget keeps starving admission instead of rounding up
+     * to a whole block.  Every serving-side pop pairs this with
      * replicaKvBudgetBlocks.
      */
     int effectiveKvBlockTokens(const par::ParallelConfig &config) const;
@@ -378,14 +364,8 @@ class BaseServingSystem : public ServingSystem
     std::optional<Deployment> deployment_;
     std::vector<ConfigChange> history_;
     long restartedRequeues_ = 0;
-    bool continuousBatching_ = true;
-    bool kvBudgetAdmission_ = true;
-    int prefillChunkTokens_ = 0;
-    int kvBlockTokens_ = 16;
+    EngineOptions engine_;
     bool memOptReserve_ = true;
-    bool prefixSharing_ = false;
-    engine::KvAdmissionMode kvAdmissionMode_ =
-        engine::KvAdmissionMode::Optimistic;
     std::function<void(const engine::InferencePipeline &)> kvObserver_;
     std::function<void(const engine::ActiveRequest &)> tokenObserver_;
     long peakKvHeldTokens_ = 0;

@@ -23,9 +23,9 @@ spotServeFactory(const model::ModelSpec &spec, const cost::CostParams &params,
 
 serving::SystemFactory
 reroutingFactory(const model::ModelSpec &spec, const cost::CostParams &params,
-                 const cost::SeqSpec &seq, double design_rate,
-                 baselines::ReroutingOptions options)
+                 const cost::SeqSpec &seq, double design_rate)
 {
+    baselines::ReroutingOptions options;
     options.designArrivalRate = design_rate;
     return [spec, params, seq, options](sim::Executor &sim,
                                         cluster::InstanceManager &instances,
@@ -39,9 +39,9 @@ reroutingFactory(const model::ModelSpec &spec, const cost::CostParams &params,
 serving::SystemFactory
 reparallelizationFactory(const model::ModelSpec &spec,
                          const cost::CostParams &params,
-                         const cost::SeqSpec &seq, double design_rate,
-                         baselines::ReparallelizationOptions options)
+                         const cost::SeqSpec &seq, double design_rate)
 {
+    baselines::ReparallelizationOptions options;
     options.designArrivalRate = design_rate;
     return [spec, params, seq, options](sim::Executor &sim,
                                         cluster::InstanceManager &instances,

@@ -18,28 +18,28 @@
 namespace spotserve {
 namespace presets {
 
-/** Factory for a SpotServe system (optionally ablated). */
+/**
+ * Factory for a SpotServe system (optionally ablated; @p options.engine
+ * carries the engine knobs).
+ */
 serving::SystemFactory
 spotServeFactory(const model::ModelSpec &spec, const cost::CostParams &params,
                  const cost::SeqSpec &seq, core::SpotServeOptions options);
 
 /**
- * Factory for the request-rerouting baseline.  @p options carries the
- * shared engine knobs (continuous batching, KV admission mode,
- * kvBlockTokens, chunked prefill); @p design_rate overrides its
- * designArrivalRate.
+ * Factory for the request-rerouting baseline, built with the default
+ * serving::EngineOptions (the same engine SpotServe runs by default);
+ * @p design_rate overrides its designArrivalRate.
  */
 serving::SystemFactory
 reroutingFactory(const model::ModelSpec &spec, const cost::CostParams &params,
-                 const cost::SeqSpec &seq, double design_rate,
-                 baselines::ReroutingOptions options = {});
+                 const cost::SeqSpec &seq, double design_rate);
 
-/** Factory for the model-reparallelization baseline (same knob rules). */
+/** Factory for the model-reparallelization baseline (same rules). */
 serving::SystemFactory
 reparallelizationFactory(const model::ModelSpec &spec,
                          const cost::CostParams &params,
-                         const cost::SeqSpec &seq, double design_rate,
-                         baselines::ReparallelizationOptions options = {});
+                         const cost::SeqSpec &seq, double design_rate);
 
 /**
  * Factory by name: "SpotServe", "Rerouting", "Reparallelization", or

@@ -97,6 +97,7 @@ void SocketIngress::start()
         throw std::runtime_error("bind/listen on " + options_.bindAddress +
                                  ": " + what);
     }
+    setNonBlocking(listenFd_); // acceptClient drains until EAGAIN
 
     sockaddr_in bound{};
     socklen_t boundLen = sizeof(bound);
@@ -239,22 +240,29 @@ void SocketIngress::pollLoop()
 
 void SocketIngress::acceptClient()
 {
-    const int fd = ::accept(listenFd_, nullptr, nullptr);
-    if (fd < 0)
-        return;
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    // Non-blocking: neither the poll thread nor the executor's driver
-    // thread may ever park inside send()/recv() on a peer's behalf.
-    setNonBlocking(fd);
-    {
-        sim::MutexLock lk(clientsMutex_);
-        Client client;
-        client.fd = fd;
-        client.lastActivity = std::chrono::steady_clock::now();
-        clients_.emplace(fd, std::move(client));
+    // Drain the whole accept queue per wakeup, so a connect burst never
+    // waits one poll round per connection while the queue overflows.
+    for (;;) {
+        const int fd = ::accept(listenFd_, nullptr, nullptr);
+        if (fd < 0) {
+            if (errno == EINTR || errno == ECONNABORTED)
+                continue;
+            return; // EAGAIN: drained; anything else: retry next wakeup
+        }
+        const int one = 1;
+        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+        // Non-blocking: neither the poll thread nor the executor's driver
+        // thread may ever park inside send()/recv() on a peer's behalf.
+        setNonBlocking(fd);
+        {
+            sim::MutexLock lk(clientsMutex_);
+            Client client;
+            client.fd = fd;
+            client.lastActivity = std::chrono::steady_clock::now();
+            clients_.emplace(fd, std::move(client));
+        }
+        connectionsAccepted_.fetch_add(1);
     }
-    connectionsAccepted_.fetch_add(1);
 }
 
 bool SocketIngress::readClient(int fd)

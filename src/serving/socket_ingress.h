@@ -78,7 +78,13 @@ class SocketIngress
         std::string bindAddress = "127.0.0.1";
         /** TCP port; 0 picks an ephemeral port (see boundPort()). */
         int port = 0;
-        int backlog = 16;
+        /**
+         * listen() backlog: the kernel's accept-queue depth (capped at
+         * net.core.somaxconn).  A full queue drops SYNs, and the dropped
+         * clients' retransmit timers then fire together, so each round
+         * gets only one queue's worth in; size it for connect bursts.
+         */
+        int backlog = 1024;
         /** poll() timeout — bounds stop() latency. */
         int pollIntervalMs = 50;
         /** Protocol guard: longest accepted request line. */

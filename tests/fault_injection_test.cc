@@ -397,8 +397,8 @@ runChaos(const ChaosCase &c, bool fault_recovery = true)
 
     core::SpotServeOptions options;
     options.designArrivalRate = rate;
-    options.kvAdmissionMode = c.admission;
-    options.prefixSharing = c.prefixSharing;
+    options.engine.kvAdmissionMode = c.admission;
+    options.engine.prefixSharing = c.prefixSharing;
     options.faultRecovery = fault_recovery;
 
     sim::Rng rng(c.seed);

@@ -13,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <future>
@@ -51,9 +52,9 @@ class LineClient
         addr.sin_family = AF_INET;
         addr.sin_port = htons(static_cast<std::uint16_t>(port));
         ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-        EXPECT_EQ(::connect(fd_, reinterpret_cast<sockaddr *>(&addr),
-                            sizeof(addr)),
-                  0);
+        connected_ = ::connect(fd_, reinterpret_cast<sockaddr *>(&addr),
+                               sizeof(addr)) == 0;
+        EXPECT_TRUE(connected_);
     }
 
     ~LineClient()
@@ -102,9 +103,11 @@ class LineClient
     }
 
     int fd() const { return fd_; }
+    bool connected() const { return connected_; }
 
   private:
     int fd_ = -1;
+    bool connected_ = false;
     std::string buffer_;
 };
 
@@ -299,6 +302,44 @@ TEST_F(IngressFixture, ConcurrentClientsGetTheirOwnStreams)
     EXPECT_EQ(ingress_->connectionsAccepted(), 2);
     EXPECT_EQ(ingress_->requestsInjected(), 2);
     EXPECT_EQ(requests_->completedCount(), 2);
+}
+
+TEST_F(IngressFixture, ConnectBurstIsFullyAcceptedAndServed)
+{
+    // Regression: with a 16-deep listen backlog and one accept() per poll
+    // wakeup, a connect burst overflowed the accept queue; clients whose
+    // handshake completed but were never accepted waited out their
+    // receive timeout.  Every client of a 256-connect burst must get in,
+    // and every one must get its own result stream.
+    constexpr int kClients = 256;
+    const int port = ingress_->boundPort();
+    std::promise<void> go;
+    const std::shared_future<void> start = go.get_future().share();
+    std::atomic<int> connected{0};
+    std::atomic<int> done{0};
+    std::vector<std::thread> clients;
+    clients.reserve(kClients);
+    for (int i = 0; i < kClients; ++i) {
+        clients.emplace_back([&, start] {
+            start.wait();
+            LineClient client(port);
+            if (!client.connected())
+                return;
+            connected.fetch_add(1);
+            client.sendLine("gen 64 2");
+            const auto lines = client.readUntil("done");
+            if (!lines.empty() && lines.back().compare(0, 4, "done") == 0)
+                done.fetch_add(1);
+        });
+    }
+    go.set_value();
+    for (auto &t : clients)
+        t.join();
+
+    EXPECT_EQ(connected.load(), kClients);
+    EXPECT_EQ(done.load(), kClients);
+    EXPECT_EQ(ingress_->connectionsAccepted(), kClients);
+    EXPECT_EQ(ingress_->requestsInjected(), kClients);
 }
 
 TEST_F(IngressFixture, StopAndDestroyWhileGenerationsDrain)

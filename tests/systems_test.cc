@@ -6,12 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "baselines/reparallelization_system.h"
 #include "baselines/rerouting_system.h"
 #include "cluster/trace_library.h"
 #include "core/spotserve_system.h"
 #include "serving/experiment.h"
 #include "serving/presets.h"
+#include "simcore/simulation.h"
 
 namespace spotserve {
 namespace {
@@ -233,6 +236,98 @@ TEST(SystemsIntegration, OverlappingGracePeriodsSurvived)
     const auto spec = model::ModelSpec::opt6_7b();
     const auto r = run(spec, cluster::traceBS(), "SpotServe");
     EXPECT_EQ(r.unfinished, 0);
+}
+
+/** Engine knobs (serving::EngineOptions or a pipeline's
+ *  engine::BatchingOptions) must equal the serving::EngineOptions
+ *  defaults: 16-token blocks, prefix sharing on, Optimistic, unchunked. */
+template <typename Knobs>
+void
+expectDefaultEngine(const Knobs &b, const std::string &who)
+{
+    EXPECT_EQ(b.kvBlockTokens, 16) << who;
+    EXPECT_TRUE(b.prefixSharing) << who;
+    EXPECT_EQ(b.kvAdmissionMode, engine::KvAdmissionMode::Optimistic) << who;
+    EXPECT_EQ(b.prefillChunkTokens, 0) << who;
+}
+
+/** A bare BaseServingSystem subclass: the engine defaults come from the
+ *  base class alone, with no system-level option struct in between. */
+struct BareSystem : serving::BaseServingSystem
+{
+    BareSystem(sim::Executor &s, cluster::InstanceManager &im,
+               serving::RequestManager &rm, const model::ModelSpec &spec)
+        : BaseServingSystem(s, im, rm, spec, kParams, kSeq)
+    {
+    }
+    std::string name() const override { return "Bare"; }
+    void onInstanceReady(const cluster::Instance &) override {}
+    void onPreemptionNotice(const cluster::Instance &, sim::SimTime) override
+    {
+    }
+    void onInstancePreempted(const cluster::Instance &) override {}
+    void onInstanceReleased(const cluster::Instance &) override {}
+
+    using BaseServingSystem::deployment;
+    using BaseServingSystem::installDeployment;
+    using BaseServingSystem::packedMesh;
+};
+
+TEST(SystemsIntegration, EverySystemBuildsPipelinesWithTheSameEngineDefaults)
+{
+    const auto spec = model::ModelSpec::opt6_7b();
+    const auto trace = steadyTrace(4, 120.0);
+    const auto workload = workloadFor(spec, trace.duration());
+    for (const char *system :
+         {"SpotServe", "Rerouting", "Reparallelization"}) {
+        long pipelines_seen = 0;
+        const auto inner = presets::factoryByName(
+            system, spec, kParams, kSeq, wl::defaultRateForModel(spec.name()));
+        const serving::SystemFactory factory =
+            [&](sim::Executor &exec, cluster::InstanceManager &inst,
+                serving::RequestManager &req) {
+                auto sys = inner(exec, inst, req);
+                auto *base = dynamic_cast<serving::BaseServingSystem *>(
+                    sys.get());
+                EXPECT_NE(base, nullptr) << system;
+                if (base) {
+                    expectDefaultEngine(base->engineOptions(), system);
+                    base->setKvObserver(
+                        [&](const engine::InferencePipeline &p) {
+                            ++pipelines_seen;
+                            expectDefaultEngine(p.batching(), system);
+                        });
+                }
+                return sys;
+            };
+        const auto r =
+            serving::runExperiment(spec, kParams, trace, workload, factory);
+        EXPECT_GT(r.completed, 0) << system;
+        EXPECT_GT(pipelines_seen, 0) << system;
+    }
+
+    sim::Simulation sim;
+    cluster::InstanceManager instances(sim, kParams);
+    serving::RequestManager requests(sim);
+    core::SpotServeOptions zero_blocks;
+    zero_blocks.engine.kvBlockTokens = 0;
+    EXPECT_THROW(core::SpotServeSystem(sim, instances, requests, spec,
+                                       kParams, kSeq, zero_blocks),
+                 std::invalid_argument);
+    BareSystem bare(sim, instances, requests, spec);
+    instances.loadTrace(steadyTrace(2, 100.0));
+    sim.run(1.0);
+    const par::ParallelConfig config{2, 2, 2, 8};
+    bare.installDeployment(config,
+                           bare.packedMesh(config, instances.usableInstances()));
+    wl::Request request = workload.front();
+    request.arrival = sim.now();
+    bare.onRequestArrival(request);
+    sim.run();
+    EXPECT_EQ(requests.completedCount(), 1);
+    expectDefaultEngine(bare.engineOptions(), "BaseServingSystem");
+    for (const auto &p : bare.deployment().pipelines)
+        expectDefaultEngine(p->batching(), "BaseServingSystem");
 }
 
 } // namespace
