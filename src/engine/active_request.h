@@ -120,6 +120,15 @@ struct ActiveRequest
     int predictedOutputTokens = 0;
 
     /**
+     * Leading kvBlockIds levels the store's promotion pass never needs
+     * to revisit: each is indexed or written by another request, and
+     * both states are permanent while this request holds its reference.
+     * Engine-internal; reset whenever kvBlockIds is cleared or an entry
+     * is replaced.  (Declared here to sit in padding before the vector.)
+     */
+    int kvPromoteCursor = 0;
+
+    /**
      * Physical KV block ids this request holds references on, one per
      * block level (level k covers tokens [k*B, (k+1)*B)), owned by the
      * pipeline's KvBlockStore.  Empty when the pipeline runs without
@@ -235,6 +244,7 @@ struct ActiveRequest
         prefillTokens = 0;
         prefilled = false;
         kvBlockIds.clear();
+        kvPromoteCursor = 0;
         sharedPrefixTokens = 0;
         kvTailShared = false;
         ++restarts;

@@ -345,7 +345,9 @@ InferencePipeline::enforceKvPressure()
     const long high = batching_.kvHighWatermarkBlocks;
     const long low = batching_.kvLowWatermarkBlocks;
 
-    std::vector<bool> gone(batch_.size(), false);
+    // Victim mask; empty until an eviction is actually needed (nothing
+    // is gone then).
+    std::vector<bool> gone;
     // Survivor scan, in block space, with the yield decision applied:
     // decode growth is at most one block per prefilled member (one token
     // may cross a block boundary); prefill growth is the blocks one
@@ -364,7 +366,7 @@ InferencePipeline::enforceKvPressure()
         Scan s;
         std::vector<const ActiveRequest *> victims;
         for (std::size_t i = 0; i < batch_.size(); ++i) {
-            if (gone[i]) {
+            if (!gone.empty() && gone[i]) {
                 if (store_)
                     victims.push_back(&batch_[i]);
                 continue;
@@ -425,6 +427,18 @@ InferencePipeline::enforceKvPressure()
             p += s.prefillGrowth;
         return p;
     };
+
+    // Most boundaries fit the budget: settle the yield and stop before
+    // building the victim order, so only a boundary that has to evict
+    // pays for the scratch below.
+    const Scan before = scan();
+    if (pressure(before) <= budget) {
+        decideDefer(before);
+        if (deferPrefill_)
+            ++prefillYields_;
+        return;
+    }
+    gone.assign(batch_.size(), false);
 
     // Victim order: LIFO — youngest arrival first, least progress first.
     // Restarted members are spared first (their full worst case is
@@ -523,7 +537,7 @@ InferencePipeline::enforceKvPressure()
     }
     // Final yield decision over the surviving batch: this is the flag the
     // upcoming scheduleStep honours.
-    gone.assign(batch_.size(), false);
+    gone.clear();
     decideDefer(scan());
     if (deferPrefill_)
         ++prefillYields_;
@@ -626,20 +640,27 @@ InferencePipeline::onBoundary()
             store_->commitProgress(r);
     }
 
-    // Requests leave the batch individually on completion.
-    std::vector<ActiveRequest> still_running;
-    still_running.reserve(batch_.size());
+    // Requests leave the batch individually on completion.  Completions
+    // fire against the intact batch, then the survivors are compacted in
+    // place, keeping their order (victim order and admission depend on
+    // it) without a per-boundary copy of the batch.
+    bool any_done = false;
     for (auto &r : batch_) {
-        if (r.done()) {
-            if (store_)
-                store_->release(r);
-            if (callbacks_.onRequestComplete)
-                callbacks_.onRequestComplete(r);
-        } else {
-            still_running.push_back(r);
-        }
+        if (!r.done())
+            continue;
+        any_done = true;
+        if (store_)
+            store_->release(r);
+        if (callbacks_.onRequestComplete)
+            callbacks_.onRequestComplete(r);
     }
-    batch_ = std::move(still_running);
+    if (any_done) {
+        batch_.erase(std::remove_if(batch_.begin(), batch_.end(),
+                                    [](const ActiveRequest &r) {
+                                        return r.done();
+                                    }),
+                     batch_.end());
+    }
 
     if (haltPending_) {
         observeBoundary();

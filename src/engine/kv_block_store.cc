@@ -199,6 +199,7 @@ KvBlockStore::attach(ActiveRequest &r)
 {
     if (!r.kvBlockIds.empty())
         throw std::logic_error("KvBlockStore: request already attached");
+    r.kvPromoteCursor = 0;
     const long held = r.kvTokensHeld();
     if (held > 0) {
         // Carried progress (migration / inherited batch): rebuild the
@@ -258,7 +259,7 @@ KvBlockStore::attach(ActiveRequest &r)
 }
 
 void
-KvBlockStore::promoteCompletedLevels(const ActiveRequest &r)
+KvBlockStore::promoteCompletedLevels(ActiveRequest &r)
 {
     const int limit = shareLimitTokens(r);
     if (limit <= 0)
@@ -267,21 +268,35 @@ KvBlockStore::promoteCompletedLevels(const ActiveRequest &r)
     const long prefix_levels =
         std::min<long>(static_cast<long>(r.kvBlockIds.size()),
                        limit / blockTokens_);
-    for (long k = 0; k < prefix_levels; ++k) {
+    // Levels before the cursor are indexed or another writer's.  Both
+    // are permanent while r holds its reference (only reclaimOneCached
+    // un-indexes, and it takes zero-ref blocks; a writer never reverts
+    // to r), so only the levels from the first still-private one on are
+    // walked.  A private level blocked by a classmate's published key
+    // stops the cursor: it must be retried once that key is reclaimed.
+    bool settled = true;
+    for (long k = r.kvPromoteCursor; k < prefix_levels; ++k) {
         const int id = r.kvBlockIds[static_cast<std::size_t>(k)];
         Block &b = blocks_[id];
-        if (b.indexed || b.writer != r.request.id)
+        if (b.indexed || b.writer != r.request.id) {
+            if (settled)
+                r.kvPromoteCursor = static_cast<int>(k) + 1;
             continue;
+        }
         if (held < (k + 1) * blockTokens_)
             break; // level not fully committed yet
         const std::uint64_t key =
             fullKey(r.request.prefixId, static_cast<int>(k), blockTokens_);
-        if (fullIndex_.count(key))
+        if (fullIndex_.count(key)) {
+            settled = false;
             continue; // someone published this level first; stay private
+        }
         b.indexed = true;
         b.indexKey = key;
         b.writer = wl::kInvalidRequest; // full: nobody appends here again
         fullIndex_[key] = id;
+        if (settled)
+            r.kvPromoteCursor = static_cast<int>(k) + 1;
     }
 }
 
@@ -320,6 +335,7 @@ KvBlockStore::commitProgress(ActiveRequest &r)
         const int new_id = allocate();
         blocks_[new_id].writer = r.request.id;
         r.kvBlockIds.back() = new_id;
+        r.kvPromoteCursor = 0;
         dropRef(old_id, r.request.id);
         r.kvTailShared = false;
         ++cowCopies_;
@@ -362,6 +378,7 @@ KvBlockStore::release(ActiveRequest &r)
     for (int id : r.kvBlockIds)
         dropRef(id, r.request.id);
     r.kvBlockIds.clear();
+    r.kvPromoteCursor = 0;
     r.kvTailShared = false;
 }
 

@@ -565,6 +565,10 @@ std::vector<engine::ActiveRequest>
 BaseServingSystem::admitAtBoundary(engine::InferencePipeline &pipeline,
                                    int free_slots)
 {
+    // Nothing queued: no head to reject, nothing to pop or deal out, so
+    // skip the scan of the other replicas (most boundaries end here).
+    if (requests_.pendingEmpty())
+        return {};
     // A head whose worst-case peak exceeds the whole replica budget is
     // unservable on every admission path.  Optimistic charging could
     // admit it (its *predicted* footprint fits), but if the output then

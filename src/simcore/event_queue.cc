@@ -1,17 +1,42 @@
 #include "simcore/event_queue.h"
 
+#include <algorithm>
 #include <cassert>
+#include <stdexcept>
 #include <utility>
 
 namespace spotserve {
 namespace sim {
 
+namespace {
+
+/** Sequence numbers fill the EventId bits above the slot index. */
+constexpr std::uint64_t kMaxSeq =
+    (std::uint64_t{1} << (64 - EventQueue::kSlotBits)) - 1;
+
+} // namespace
+
 EventId
 EventQueue::schedule(SimTime when, EventCallback fn)
 {
-    EventId id = nextId_++;
-    heap_.push(Entry{when, id, std::move(fn)});
-    pendingIds_.insert(id);
+    if (nextSeq_ > kMaxSeq)
+        throw std::length_error("EventQueue: event sequence exhausted");
+    std::size_t slot;
+    if (!freeSlots_.empty()) {
+        slot = freeSlots_.back();
+        freeSlots_.pop_back();
+    } else {
+        if (slots_.size() >= kMaxPending)
+            throw std::length_error("EventQueue: too many pending events");
+        slot = slots_.size();
+        slots_.emplace_back();
+    }
+    const EventId id = (nextSeq_++ << kSlotBits) | slot;
+    slots_[slot].fn = std::move(fn);
+    slots_[slot].id = id;
+    heap_.push_back(Node{when, id});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+    ++live_;
     return id;
 }
 
@@ -19,69 +44,62 @@ bool
 EventQueue::cancel(EventId id)
 {
     // Only a live event can be cancelled: an id that never existed,
-    // already fired, or was already cancelled is a harmless no-op and
-    // must not leave any trace behind.
-    auto it = pendingIds_.find(id);
-    if (it == pendingIds_.end())
+    // already fired, or was already cancelled no longer matches its slot
+    // (the slot is free or holds a later occupant) and is a no-op.
+    const std::size_t slot = slotOf(id);
+    if (id == kInvalidEventId || slot >= slots_.size() ||
+        slots_[slot].id != id)
         return false;
-    pendingIds_.erase(it);
-    // Lazy cancellation: the heap entry is discarded when it surfaces
-    // (skipCancelled), which also purges this tombstone.
-    cancelled_.insert(id);
+    slots_[slot].fn = nullptr;
+    slots_[slot].id = kInvalidEventId;
+    freeSlots_.push_back(slot);
+    --live_;
+    // Lazy cancellation: the heap node is discarded when it surfaces.
     return true;
-}
-
-bool
-EventQueue::empty() const
-{
-    return pendingIds_.empty();
-}
-
-std::size_t
-EventQueue::size() const
-{
-    return pendingIds_.size();
 }
 
 SimTime
 EventQueue::nextTime() const
 {
-    // const_cast-free peek is impossible with a priority_queue; mutating
-    // only discards entries that are already dead, so observable state is
-    // unchanged.
-    if (pendingIds_.empty())
+    if (live_ == 0)
         return kTimeInfinity;
-    auto *self = const_cast<EventQueue *>(this);
-    self->skipCancelled();
-    return heap_.top().time;
+    skipStale();
+    return heap_.front().time;
 }
 
 EventQueue::Fired
 EventQueue::pop()
 {
-    skipCancelled();
+    skipStale();
     assert(!heap_.empty() && "pop() on empty EventQueue");
-    Entry top = heap_.top();
-    heap_.pop();
-    pendingIds_.erase(top.id);
-    return Fired{top.time, top.id, std::move(top.fn)};
+    const Node top = heap_.front();
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
+    Slot &s = slots_[slotOf(top.id)];
+    Fired fired{top.time, top.id, std::move(s.fn)};
+    s.fn = nullptr;
+    s.id = kInvalidEventId;
+    freeSlots_.push_back(slotOf(top.id));
+    --live_;
+    return fired;
 }
 
 void
 EventQueue::clear()
 {
-    while (!heap_.empty())
-        heap_.pop();
-    cancelled_.clear();
-    pendingIds_.clear();
+    heap_.clear();
+    slots_.clear();
+    freeSlots_.clear();
+    live_ = 0;
 }
 
 void
-EventQueue::skipCancelled()
+EventQueue::skipStale() const
 {
-    while (!heap_.empty() && cancelled_.count(heap_.top().id)) {
-        cancelled_.erase(heap_.top().id);
-        heap_.pop();
+    while (!heap_.empty() &&
+           slots_[slotOf(heap_.front().id)].id != heap_.front().id) {
+        std::pop_heap(heap_.begin(), heap_.end(), Later{});
+        heap_.pop_back();
     }
 }
 

@@ -7,15 +7,37 @@
  * independent of heap internals.  This determinism is load-bearing: the
  * serving experiments and the regression tests compare exact latency series
  * across runs.
+ *
+ * Layout.  The binary heap holds plain 16-byte (time, id) nodes; the
+ * callbacks live in a slot table (a vector with a free list), so sifting
+ * moves two words per level instead of a std::function, and scheduling
+ * allocates nothing once the table has grown to the peak pending count.
+ *
+ * Ids.  An EventId carries the schedule sequence number in its high 40
+ * bits and the slot index in its low 24 bits.  Comparing ids therefore
+ * compares sequence numbers (ties still break in schedule order), and an
+ * id names exactly one occupancy of its slot: a slot reused by a later
+ * event carries a different sequence number, so a stale id can neither
+ * cancel nor be mistaken for the new occupant.
+ *
+ * Lazy cancellation.  cancel() is O(1): it checks that the slot still
+ * holds that id, then frees the slot (dropping the callback).  The heap
+ * node stays behind and is discarded when it surfaces at the top, since
+ * its id no longer matches its slot.  cancelledBacklog() counts these
+ * stale nodes; each is purged the moment it reaches the top, so the
+ * backlog is bounded by the cancelled-but-not-yet-due events.
+ *
+ * Limits.  At most 2^24 events may be pending at once and at most 2^40
+ * may ever be scheduled on one queue; exceeding either throws
+ * std::length_error rather than wrapping an id.
  */
 
 #ifndef SPOTSERVE_SIMCORE_EVENT_QUEUE_H
 #define SPOTSERVE_SIMCORE_EVENT_QUEUE_H
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "simcore/sim_time.h"
@@ -28,14 +50,21 @@ using EventCallback = std::function<void()>;
 
 /**
  * Priority queue of timed callbacks with O(log n) schedule/pop and
- * lazy cancellation.
+ * O(1) lazy cancellation.
  */
 class EventQueue
 {
   public:
+    /** Low EventId bits holding the slot index. */
+    static constexpr int kSlotBits = 24;
+    /** Most events that may be pending at once. */
+    static constexpr std::size_t kMaxPending = std::size_t{1} << kSlotBits;
+
     /**
      * Schedule @p fn to fire at absolute time @p when.
      * @return a handle usable with cancel().
+     * @throws std::length_error past kMaxPending pending events or
+     *         2^40 schedules.
      */
     EventId schedule(SimTime when, EventCallback fn);
 
@@ -47,10 +76,10 @@ class EventQueue
     bool cancel(EventId id);
 
     /** @return true if no live (non-cancelled) events remain. */
-    bool empty() const;
+    bool empty() const { return live_ == 0; }
 
     /** Number of live pending events. */
-    std::size_t size() const;
+    std::size_t size() const { return live_; }
 
     /** Time of the earliest live event; kTimeInfinity when empty. */
     SimTime nextTime() const;
@@ -71,23 +100,22 @@ class EventQueue
     void clear();
 
     /**
-     * Cancelled events whose heap entries have not surfaced yet
-     * (diagnostic: this backlog must stay bounded — see cancelled_).
+     * Cancelled events whose heap nodes have not surfaced yet
+     * (diagnostic: this backlog must stay bounded).
      */
-    std::size_t cancelledBacklog() const { return cancelled_.size(); }
+    std::size_t cancelledBacklog() const { return heap_.size() - live_; }
 
   private:
-    struct Entry
+    struct Node
     {
         SimTime time;
         EventId id;
-        EventCallback fn;
     };
 
     struct Later
     {
         bool
-        operator()(const Entry &a, const Entry &b) const
+        operator()(const Node &a, const Node &b) const
         {
             if (a.time != b.time)
                 return a.time > b.time;
@@ -95,26 +123,30 @@ class EventQueue
         }
     };
 
-    /** Discard cancelled entries sitting at the top of the heap. */
-    void skipCancelled();
+    struct Slot
+    {
+        EventCallback fn;
+        /** Id of the live occupant; kInvalidEventId while free. */
+        EventId id = kInvalidEventId;
+    };
 
-    std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-    /**
-     * Ids of live (scheduled, not yet fired or cancelled) events.  This
-     * is what makes cancel() after fire a true no-op: an id that already
-     * fired is no longer here, so cancelling it cannot corrupt the live
-     * count or leave a permanent tombstone in cancelled_.
-     */
-    std::unordered_set<EventId> pendingIds_;
-    /**
-     * Lazy-cancellation tombstones: ids whose heap entry still has to
-     * surface and be discarded.  Every tombstone is purged the moment its
-     * entry reaches the heap top (skipCancelled), so the set is bounded
-     * by the cancelled-but-not-yet-surfaced events — it cannot grow
-     * without bound over a long-running (wall-clock) process.
-     */
-    std::unordered_set<EventId> cancelled_;
-    EventId nextId_ = 1;
+    static std::size_t slotOf(EventId id)
+    {
+        return static_cast<std::size_t>(id & (kMaxPending - 1));
+    }
+
+    /** Discard stale (cancelled) nodes sitting at the top of the heap.
+     *  Const because it changes no observable state: nextTime() uses it
+     *  to peek. */
+    void skipStale() const;
+
+    /** Min-heap under Later (std::push_heap / std::pop_heap). */
+    mutable std::vector<Node> heap_;
+    std::vector<Slot> slots_;
+    std::vector<std::size_t> freeSlots_;
+    std::size_t live_ = 0;
+    /** Next schedule sequence number (starts at 1: no id is ever 0). */
+    std::uint64_t nextSeq_ = 1;
 };
 
 } // namespace sim

@@ -5,10 +5,43 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include "simcore/simulation.h"
 #include "engine/context_state.h"
 #include "engine/inference_pipeline.h"
 #include "model/model_spec.h"
+
+// Counting global allocator: lets a test assert that a stretch of
+// simulated boundaries performs no heap allocation at all.
+namespace {
+std::atomic<bool> g_countAllocs{false};
+std::atomic<long> g_allocs{0};
+} // namespace
+
+void *
+operator new(std::size_t n)
+{
+    if (g_countAllocs.load(std::memory_order_relaxed))
+        g_allocs.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(n == 0 ? 1 : n))
+        return p;
+    throw std::bad_alloc();
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace spotserve::engine {
 namespace {
@@ -183,6 +216,106 @@ TEST(InferencePipelineTest, TakeBatchWhileExecutingThrows)
     Harness h;
     h.pipeline->startBatch({makeRequest(1)});
     EXPECT_THROW(h.pipeline->takeBatch(), std::logic_error);
+}
+
+// Survivors keep their relative order across completions, and requests
+// admitted at a boundary join behind them: eviction's victim order and
+// the oldest-member guard read this order.
+TEST(InferencePipelineTest, CompletionsKeepSurvivorOrder)
+{
+    sim::Simulation sim;
+    const auto spec = model::ModelSpec::opt6_7b();
+    const cost::LatencyModel latency{spec, kParams};
+    std::vector<std::vector<wl::RequestId>> seen;
+    std::vector<wl::RequestId> completed;
+    int admits = 0;
+    InferencePipeline::Callbacks cb;
+    cb.onRequestComplete = [&](const ActiveRequest &r) {
+        completed.push_back(r.request.id);
+    };
+    cb.onAdmit = [&](InferencePipeline &, int) {
+        std::vector<ActiveRequest> out;
+        if (++admits == 2) {
+            // Second boundary: two newcomers, already prefilled.
+            out.push_back(makeRequest(10, 125));
+            out.push_back(makeRequest(11, 127));
+        }
+        return out;
+    };
+    cb.onBoundary = [&](const InferencePipeline &p) {
+        std::vector<wl::RequestId> ids;
+        for (const auto &r : p.batch())
+            ids.push_back(r.request.id);
+        seen.push_back(ids);
+    };
+    InferencePipeline pipeline(sim, latency, par::ParallelConfig{1, 1, 4, 8},
+                               0, cb);
+    // Remaining output tokens: 1:3, 2:1, 3:2, 4:1, 5:3.
+    pipeline.startBatch({makeRequest(1, 125), makeRequest(2, 127),
+                         makeRequest(3, 126), makeRequest(4, 127),
+                         makeRequest(5, 125)});
+    sim.run();
+    using Ids = std::vector<wl::RequestId>;
+    const std::vector<Ids> want = {
+        {1, 2, 3, 4, 5}, // startBatch
+        {1, 3, 5},       // 2 and 4 done; nothing admitted
+        {1, 5, 10, 11},  // 3 done; newcomers appended behind survivors
+        {10},            // 1, 5 and 11 done
+        {10},
+        {},              // 10 done
+    };
+    EXPECT_EQ(seen, want);
+    EXPECT_EQ(completed, (Ids{2, 4, 3, 1, 5, 11, 10}));
+}
+
+// The per-boundary hot path — event pop and schedule, token commit,
+// in-place completion compaction, the optimistic KV-pressure check that
+// evicts nothing, and an empty admission — allocates nothing.
+TEST(InferencePipelineTest, SteadyBoundariesDoNotAllocate)
+{
+    sim::Simulation sim;
+    const auto spec = model::ModelSpec::opt6_7b();
+    const cost::LatencyModel latency{spec, kParams};
+    long completions = 0;
+    long evictions = 0;
+    InferencePipeline::Callbacks cb;
+    cb.onRequestComplete = [&](const ActiveRequest &) { ++completions; };
+    cb.onAdmit = [](InferencePipeline &, int) {
+        return std::vector<ActiveRequest>{};
+    };
+    cb.onEvict = [&](InferencePipeline &, std::vector<ActiveRequest> v) {
+        evictions += static_cast<long>(v.size());
+    };
+    BatchingOptions batching;
+    batching.kvBudgetTokens = 1000000;
+    batching.kvBlockTokens = 16;
+    batching.kvAdmissionMode = KvAdmissionMode::Optimistic;
+    InferencePipeline pipeline(sim, latency, par::ParallelConfig{1, 1, 4, 8},
+                               0, cb, batching);
+    std::vector<ActiveRequest> batch;
+    for (int i = 0; i < 8; ++i) {
+        ActiveRequest r = makeRequest(i + 1);
+        r.request.inputLen = 64;
+        r.request.outputLen = 20 + 5 * i;
+        // Charged below its peak, so every boundary runs the pressure
+        // scan instead of the fully-covered early return.
+        r.predictedOutputTokens = 8;
+        batch.push_back(r);
+    }
+    pipeline.startBatch(std::move(batch));
+    for (int i = 0; i < 3; ++i) // prefill + two decodes: warm the queue
+        ASSERT_TRUE(sim.step());
+    g_allocs.store(0);
+    g_countAllocs.store(true);
+    long boundaries = 0;
+    while (sim.step())
+        ++boundaries;
+    g_countAllocs.store(false);
+    EXPECT_EQ(g_allocs.load(), 0);
+    EXPECT_GT(boundaries, 50);
+    EXPECT_EQ(completions, 8);
+    EXPECT_EQ(evictions, 0);
+    EXPECT_TRUE(pipeline.idle());
 }
 
 TEST(ActiveRequestTest, RestartResetsProgress)

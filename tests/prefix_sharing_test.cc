@@ -164,9 +164,14 @@ TEST(KvBlockStoreTest, PartialTailCopyOnWriteAtDivergence)
     ASSERT_EQ(b.kvBlockIds.size(), 4u); // ceil(50/16)
     EXPECT_EQ(a.kvBlockIds[0], b.kvBlockIds[0]);
     EXPECT_NE(a.kvBlockIds[1], b.kvBlockIds[1]); // the copied split block
+    // The swap replaced an entry of kvBlockIds; the shared full level in
+    // front of it is still settled and still matchable.
+    EXPECT_EQ(b.kvPromoteCursor, 1);
     commitTo(store, b, 50, 8);
     EXPECT_EQ(store.cowCopies(), 1); // never a second copy
     store.release(a);
+    auto c = makeActive(3, 50, 8, 0, 24);
+    EXPECT_EQ(store.quoteSharedBlocks(c), 1); // b still holds level 0
     store.release(b);
     EXPECT_EQ(store.totalLiveRefs(), 0);
 }
@@ -233,6 +238,103 @@ TEST(KvBlockStoreTest, CarriedBatchesDeduplicateSharedLevels)
     store.release(a);
     store.release(b);
     EXPECT_EQ(store.totalLiveRefs(), 0);
+}
+
+// A classmate publishes a level first, so this request's own copy of it
+// stays private (blocked).  The promotion cursor must stop at the
+// blocked level: once the classmate's cached copy is reclaimed LRU, the
+// request's copy is the one to publish at its next boundary.
+TEST(KvBlockStoreTest, BlockedLevelPublishesAfterClassmateReclaimed)
+{
+    engine::KvBlockStore store(/*capacity=*/4, 16);
+
+    // Both classmates start prefilling before either completes level 0,
+    // so each holds a private, partially written level-0 block.
+    auto a = makeActive(1, /*input=*/32, /*output=*/4, 0, /*prefix_len=*/32);
+    auto b = makeActive(2, /*input=*/48, /*output=*/4, 0, 32);
+    store.attach(a);
+    commitTo(store, a, 8, 0);
+    store.attach(b);
+    commitTo(store, b, 8, 0);
+
+    // a completes the prefix first and publishes both levels.
+    commitTo(store, a, 32, 0);
+    // b's level 0 is blocked by a's key; its level 1 dedups onto a's.
+    commitTo(store, b, 48, 0);
+    ASSERT_EQ(b.kvBlockIds.size(), 3u);
+    EXPECT_NE(a.kvBlockIds[0], b.kvBlockIds[0]);
+    EXPECT_EQ(a.kvBlockIds[1], b.kvBlockIds[1]);
+    EXPECT_EQ(b.kvPromoteCursor, 0);
+    commitTo(store, b, 48, 0); // a quiet boundary changes nothing
+    EXPECT_EQ(b.kvPromoteCursor, 0);
+
+    // a leaves: its published level 0 becomes cached, and the next
+    // allocation at full capacity reclaims it, dropping the key.
+    store.release(a);
+    EXPECT_EQ(store.cachedBlocks(), 1);
+    auto other = makeActive(3, 16, 4, -1, 0);
+    store.attach(other);
+    commitTo(store, other, 16, 0);
+    EXPECT_EQ(store.cachedReclaims(), 1);
+    auto probe = makeActive(4, 32, 4, 0, 32);
+    EXPECT_EQ(store.quoteSharedBlocks(probe), 0); // level 0 unindexed
+
+    // b's next boundary publishes its own level 0: the whole prefix is
+    // matchable (and live) again.
+    commitTo(store, b, 48, 0);
+    EXPECT_EQ(b.kvPromoteCursor, 2);
+    EXPECT_EQ(store.quoteSharedBlocks(probe), 2);
+    EXPECT_EQ(store.attach(probe), 32);
+    EXPECT_EQ(probe.kvBlockIds[0], b.kvBlockIds[0]);
+    store.release(b);
+    store.release(other);
+    store.release(probe);
+    EXPECT_EQ(store.totalLiveRefs(), 0);
+}
+
+// Chunked prefill through a pipeline: the prefix levels complete over
+// several boundaries, and each is published (matchable by a classmate)
+// at the boundary its last token commits.
+TEST(PrefixPipelineTest, ChunkedPrefillPublishesLevelsAcrossBoundaries)
+{
+    const int blk = testBlockTokens();
+    const int prefix_len = 96;
+    sim::Simulation sim;
+    const auto spec = model::ModelSpec::opt6_7b();
+    const cost::LatencyModel latency(spec, kParams);
+    engine::BatchingOptions batching;
+    batching.kvBlockTokens = blk;
+    batching.prefillChunkTokens = 24;
+    batching.prefixSharing = true;
+
+    const auto probe = makeActive(99, 128, 4, 0, prefix_len);
+    std::vector<long> quotes;
+    engine::InferencePipeline::Callbacks cb;
+    cb.onBoundary = [&](const engine::InferencePipeline &p) {
+        if (p.batch().empty())
+            return;
+        const engine::ActiveRequest &r = p.batch().front();
+        const long quote = p.prefixQuoteBlocks(probe);
+        EXPECT_EQ(quote, std::min(r.prefillTokens, prefix_len) / blk);
+        EXPECT_LE(r.kvPromoteCursor, quote);
+        quotes.push_back(quote);
+    };
+    engine::InferencePipeline pipeline(sim, latency,
+                                       par::ParallelConfig{1, 1, 4, 8}, 0,
+                                       cb, batching);
+    pipeline.startBatch({makeActive(1, 128, 4, 0, prefix_len)});
+    sim.run();
+
+    // 128 input tokens in chunks of 24: the prefix levels publish in
+    // steps over at least four boundaries, ending with all of them.
+    ASSERT_FALSE(quotes.empty());
+    EXPECT_EQ(quotes.back(), prefix_len / blk);
+    std::vector<long> distinct = quotes;
+    distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                   distinct.end());
+    EXPECT_GE(distinct.size(), 4u);
+    EXPECT_TRUE(std::is_sorted(quotes.begin(), quotes.end()));
+    EXPECT_EQ(pipeline.kvStore()->totalLiveRefs(), 0);
 }
 
 // ---------------------------------------------------------------------

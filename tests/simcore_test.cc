@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "simcore/event_queue.h"
@@ -145,6 +146,98 @@ TEST(EventQueueTest, ClearEmptiesEverything)
     q.clear();
     EXPECT_TRUE(q.empty());
     EXPECT_DOUBLE_EQ(q.nextTime(), kTimeInfinity);
+}
+
+/** Slot index an EventId names (its low EventQueue::kSlotBits bits). */
+std::size_t
+slotOf(EventId id)
+{
+    return static_cast<std::size_t>(id % EventQueue::kMaxPending);
+}
+
+// A cancelled or fired event frees its slot for the next schedule; the
+// old id must not reach the new occupant through the shared slot.
+TEST(EventQueueTest, StaleIdCannotCancelSlotReuser)
+{
+    EventQueue q;
+    bool fired = false;
+    const EventId cancelled = q.schedule(1.0, [] {});
+    EXPECT_TRUE(q.cancel(cancelled));
+    const EventId reuser = q.schedule(2.0, [&] { fired = true; });
+    ASSERT_EQ(slotOf(reuser), slotOf(cancelled));
+    ASSERT_NE(reuser, cancelled);
+    EXPECT_FALSE(q.cancel(cancelled));
+    EXPECT_EQ(q.size(), 1u);
+
+    // Same for an id that fired: the slot's next occupant survives.
+    q.pop().fn();
+    EXPECT_TRUE(fired);
+    fired = false;
+    const EventId next = q.schedule(3.0, [&] { fired = true; });
+    ASSERT_EQ(slotOf(next), slotOf(reuser));
+    EXPECT_FALSE(q.cancel(reuser));
+    EXPECT_FALSE(q.cancel(cancelled));
+    ASSERT_EQ(q.size(), 1u);
+    EXPECT_DOUBLE_EQ(q.nextTime(), 3.0);
+    q.pop().fn();
+    EXPECT_TRUE(fired);
+    EXPECT_TRUE(q.empty());
+}
+
+// Freed slots are reused out of index order; equal-time events must
+// still fire in schedule order, not slot order.
+TEST(EventQueueTest, TiesBreakByScheduleOrderAcrossSlotReuse)
+{
+    EventQueue q;
+    std::vector<int> order;
+    std::vector<EventId> ids;
+    for (int i = 0; i < 5; ++i)
+        ids.push_back(q.schedule(5.0, [&order, i] { order.push_back(i); }));
+    EXPECT_TRUE(q.cancel(ids[1]));
+    EXPECT_TRUE(q.cancel(ids[3]));
+    // These two land in the freed slots 3 and 1, below slots 2 and 4.
+    const EventId late5 =
+        q.schedule(5.0, [&order] { order.push_back(5); });
+    const EventId late6 =
+        q.schedule(5.0, [&order] { order.push_back(6); });
+    EXPECT_LT(slotOf(late6), slotOf(ids[2]));
+    EXPECT_LT(slotOf(late5), slotOf(ids[4]));
+    while (!q.empty())
+        q.pop().fn();
+    EXPECT_EQ(order, (std::vector<int>{0, 2, 4, 5, 6}));
+    EXPECT_EQ(q.cancelledBacklog(), 0u);
+}
+
+// An event that cancels itself, cancels a same-time peer, or
+// reschedules from inside its own callback: its own id is already
+// spent (cancel is a no-op even once the rescheduled event reuses its
+// slot), the peer never fires, and the rescheduled event fires after
+// every event already due at that time.
+TEST(SimulationTest, CallbackCancelsAndReschedulesFromInside)
+{
+    Simulation sim;
+    std::vector<std::string> order;
+    EventId self = kInvalidEventId;
+    EventId peer = kInvalidEventId;
+    EventId again = kInvalidEventId;
+    bool self_cancel = true;
+    bool peer_cancel = false;
+    self = sim.schedule(1.0, [&] {
+        order.push_back("self");
+        again = sim.schedule(1.0, [&] { order.push_back("again"); });
+        self_cancel = sim.cancel(self);
+        peer_cancel = sim.cancel(peer);
+    });
+    peer = sim.schedule(1.0, [&] { order.push_back("peer"); });
+    sim.schedule(1.0, [&] { order.push_back("tail"); });
+    sim.run();
+    EXPECT_FALSE(self_cancel);
+    EXPECT_TRUE(peer_cancel);
+    EXPECT_EQ(slotOf(again), slotOf(self));
+    EXPECT_EQ(order,
+              (std::vector<std::string>{"self", "tail", "again"}));
+    EXPECT_EQ(sim.eventsFired(), 3u);
+    EXPECT_DOUBLE_EQ(sim.now(), 1.0);
 }
 
 TEST(SimulationTest, ClockAdvancesWithEvents)

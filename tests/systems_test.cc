@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <stdexcept>
 
 #include "baselines/reparallelization_system.h"
@@ -328,6 +329,44 @@ TEST(SystemsIntegration, EverySystemBuildsPipelinesWithTheSameEngineDefaults)
     expectDefaultEngine(bare.engineOptions(), "BaseServingSystem");
     for (const auto &p : bare.deployment().pipelines)
         expectDefaultEngine(p->batching(), "BaseServingSystem");
+}
+
+// Conservation over every library trace, model and system: each arrival
+// ends completed, rejected or unfinished exactly once, and a run that
+// leaves nothing unfinished leaks no KV block reference.
+TEST(SystemsIntegration, EveryTraceConservesRequestsAndKvRefs)
+{
+    const std::vector<AvailabilityTrace> traces = {
+        cluster::traceAS(),
+        cluster::traceBS(),
+        cluster::traceASPlusO(),
+        cluster::traceBSPlusO(),
+        cluster::traceFig8A(),
+        cluster::traceFig8B(),
+        cluster::hardenPreemptions(cluster::traceFig8B(), 0.5, 3),
+    };
+    for (const auto &trace : traces) {
+        for (const auto &spec : presets::evaluatedModels()) {
+            for (const char *system : {"SpotServe", "Rerouting",
+                                       "Reparallelization",
+                                       "SpotServe-sync"}) {
+                SCOPED_TRACE(trace.name() + " / " + spec.name() + " / " +
+                             system);
+                const auto r = presets::runStable(spec, trace, system);
+                EXPECT_GT(r.arrived, 0);
+                EXPECT_EQ(r.arrived,
+                          r.completed + r.rejected + r.unfinished);
+                EXPECT_EQ(static_cast<long>(r.perRequest.size()),
+                          r.completed);
+                std::set<wl::RequestId> ids;
+                for (const auto &c : r.perRequest)
+                    EXPECT_TRUE(ids.insert(c.id).second)
+                        << "request " << c.id << " completed twice";
+                if (r.unfinished == 0)
+                    EXPECT_EQ(r.liveKvRefsAtEnd, 0);
+            }
+        }
+    }
 }
 
 } // namespace
