@@ -449,15 +449,32 @@ main(int argc, char **argv)
             cluster::FaultPlan plan;
             plan.seed = 13;
             cluster::FaultEvent kill;
-            // Armed over the first noticed-preemption reconfig window
-            // (notice at t=120, grace 30): that migration keeps most
+            // Armed 10 s into the grace window (30 s) of the hostile
+            // trace's first noticed preemption: that migration keeps most
             // replicas in place, so shooting its source while transfers
             // are in flight is exactly the case where keep-serving
-            // recovery and cold restart diverge.  A tight patience stops
-            // the kill from deferring into a later full-remap migration
-            // where nothing is kept and both paths degenerate to the
-            // same rebuild.
-            kill.time = 130.0;
+            // recovery and cold restart diverge.  The notice is read from
+            // the hardened trace because hardening may turn any notice
+            // into a zero-notice kill: on trace A the first notice stays
+            // at t=120 (kill at t=130), while trace B's t=120 notice is
+            // hardened and its first notice comes at t=700.  A tight
+            // patience stops the kill from deferring into a later
+            // full-remap migration where nothing is kept and both paths
+            // degenerate to the same rebuild.
+            const auto first_notice = std::find_if(
+                hostile.events().begin(), hostile.events().end(),
+                [](const cluster::TraceEvent &e) {
+                    return e.kind == cluster::TraceEventKind::PreemptNotice;
+                });
+            if (first_notice == hostile.events().end()) {
+                std::printf("  FAIL: hostile trace %s has no noticed "
+                            "preemption to arm the migration kill on\n",
+                            hostile.name().c_str());
+                exit_code = 1;
+            }
+            kill.time = first_notice == hostile.events().end()
+                            ? 0.0
+                            : first_notice->time + 10.0;
             kill.patience = 30.0;
             kill.kind = cluster::FaultEvent::Kind::KillMigrationSource;
             plan.events.push_back(kill);

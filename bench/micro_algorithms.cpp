@@ -13,7 +13,11 @@
  * schedule) at 32 to 512 instances and writes a machine-readable
  * summary, which CI archives to seed the perf trajectory.  The memoised
  * sweep must stay >= 2x faster than the cold sweep at 128 instances, and
- * the full replan pass at 512 instances must fit in 250 ms.
+ * the full replan pass at 512 instances must fit in 250 ms.  It also
+ * reports, without a gate, one reconfiguration at the few-shot
+ * scenario's scale (GPT-20B on 10 instances): device mapper, migration
+ * planner, data-plane preview and submit, in microseconds per
+ * reconfiguration.
  */
 
 #include <benchmark/benchmark.h>
@@ -29,6 +33,7 @@
 #include "core/controller.h"
 #include "core/device_mapper.h"
 #include "core/migration_planner.h"
+#include "core/transfer_data_plane.h"
 #include "costmodel/link_schedule.h"
 #include "matching/hungarian.h"
 #include "simcore/rng.h"
@@ -308,6 +313,97 @@ timePlanningPath(int instances)
     return row;
 }
 
+/** Per-stage wall clock of one reconfiguration, microseconds. */
+struct ReconfigRow
+{
+    int instances = 0;
+    int reps = 0;
+    double mapUs = 0.0;
+    double planUs = 0.0;
+    double previewUs = 0.0;
+    double submitUs = 0.0;
+    double totalUs() const { return mapUs + planUs + previewUs + submitUs; }
+};
+
+/**
+ * One reconfiguration at the few-shot scenario's scale, the path
+ * SpotServeSystem runs per preemption when the arranger keeps the cache
+ * (the common case): map, plan, quote against the data plane, commit
+ * the quote.
+ * GPT-20B on 10 four-GPU instances: instances 0-5 hold (D=2, P=3, M=4)
+ * with in-flight cache on both replicas, instances 6-9 an older
+ * (D=1, P=2, M=8); the target (D=5, P=2, M=4) uses all 10.  The data
+ * plane is drained between reconfigurations, so each is quoted against
+ * idle links.  Means over the repetitions.
+ */
+ReconfigRow
+timeReconfiguration()
+{
+    constexpr int kInstances = 10;
+    constexpr int kReps = 2000;
+    const auto spec = model::ModelSpec::gpt20b();
+    MapperSetup setup(kInstances);
+    const par::ParallelConfig cfg_a{2, 3, 4, 8};
+    const par::ParallelConfig cfg_b{1, 2, 8, 8};
+    const par::ParallelConfig target{5, 2, 4, 8};
+    const std::vector<double> tokens{900.0, 1400.0};
+    setup.snapshot.gpus.clear();
+    const par::Topology topo_a(cfg_a, spec.numLayers());
+    for (int i = 0; i < topo_a.size(); ++i) {
+        engine::GpuContext ctx;
+        ctx.gpu = i;
+        ctx.instance = i / 4;
+        ctx.hasModelContext = true;
+        ctx.config = cfg_a;
+        ctx.position = topo_a.position(i);
+        ctx.cacheTokens = tokens[static_cast<std::size_t>(ctx.position.d)];
+        setup.snapshot.gpus.push_back(ctx);
+    }
+    const par::Topology topo_b(cfg_b, spec.numLayers());
+    for (int i = 0; i < topo_b.size(); ++i) {
+        engine::GpuContext ctx;
+        ctx.gpu = 24 + i;
+        ctx.instance = 6 + i / 4;
+        ctx.hasModelContext = true;
+        ctx.config = cfg_b;
+        ctx.position = topo_b.position(i);
+        setup.snapshot.gpus.push_back(ctx);
+    }
+
+    sim::Simulation sim;
+    core::TransferDataPlane plane(sim, kParams);
+    ReconfigRow row;
+    row.instances = kInstances;
+    row.reps = kReps;
+    for (int k = 0; k < kReps; ++k) {
+        auto t0 = std::chrono::steady_clock::now();
+        auto mapping = setup.mapper.map(setup.snapshot, target,
+                                        setup.instances, tokens);
+        row.mapUs += secondsSince(t0);
+
+        t0 = std::chrono::steady_clock::now();
+        auto plan =
+            setup.planner.plan(setup.snapshot, mapping, target, tokens);
+        row.planUs += secondsSince(t0);
+
+        t0 = std::chrono::steady_clock::now();
+        auto quote = plane.preview(core::MigrationPlanner::transferSteps(plan),
+                                   kParams.migrationSetupTime,
+                                   plan.linkScheduled);
+        row.previewUs += secondsSince(t0);
+
+        t0 = std::chrono::steady_clock::now();
+        const auto committed = plane.submit(std::move(quote), {});
+        row.submitUs += secondsSince(t0);
+        benchmark::DoNotOptimize(committed.makespan);
+        sim.run();
+    }
+    for (double *us :
+         {&row.mapUs, &row.planUs, &row.previewUs, &row.submitUs})
+        *us *= 1e6 / kReps;
+    return row;
+}
+
 int
 runPlanningHarness(const std::string &json_path)
 {
@@ -339,6 +435,14 @@ runPlanningHarness(const std::string &json_path)
                     r.linkScheduleSec * 1e3, r.fullPassSec * 1e3);
     }
 
+    const ReconfigRow reconfig = timeReconfiguration();
+    std::printf("  reconfiguration at %d instances (mean of %d, report "
+                "only): map %.1f us  plan %.1f us  preview %.1f us  "
+                "submit %.1f us  total %.1f us\n",
+                reconfig.instances, reconfig.reps, reconfig.mapUs,
+                reconfig.planUs, reconfig.previewUs, reconfig.submitUs,
+                reconfig.totalUs());
+
     std::ofstream os(json_path);
     os << "[\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -358,12 +462,18 @@ runPlanningHarness(const std::string &json_path)
            << ", \"migration_interleaved_makespan_s\": "
            << r.interleavedMakespan
            << ", \"link_schedule_build_s\": " << r.linkScheduleSec
-           << ", \"full_pass_s\": " << r.fullPassSec << "}"
-           << (i + 1 < rows.size() ? "," : "") << "\n";
+           << ", \"full_pass_s\": " << r.fullPassSec << "},\n";
     }
+    os << "  {\"reconfig_instances\": " << reconfig.instances
+       << ", \"reconfig_map_us\": " << reconfig.mapUs
+       << ", \"reconfig_plan_us\": " << reconfig.planUs
+       << ", \"reconfig_preview_us\": " << reconfig.previewUs
+       << ", \"reconfig_submit_us\": " << reconfig.submitUs
+       << ", \"reconfig_total_us\": " << reconfig.totalUs() << "}\n";
     os << "]\n";
-    std::printf("wrote %zu planning rows to %s\n", rows.size(),
-                json_path.c_str());
+    std::printf("wrote %zu planning rows and the reconfiguration row to "
+                "%s\n",
+                rows.size(), json_path.c_str());
 
     // The acceptance bar CI watches: memoisation must pay off at scale.
     if (at128.chooseWarmSec * 2.0 > at128.chooseColdSec) {

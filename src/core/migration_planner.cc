@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <stdexcept>
 #include <tuple>
 
@@ -14,31 +15,64 @@ namespace core {
 
 namespace {
 
-/** Aggregated transfers of one step keyed by (src, dst) instance pair. */
+/**
+ * Per-layer transfer sums keyed by (src, dst) instance pair.  Contributions
+ * are appended to one flat array; release() stable-sorts it by (layer,
+ * src, dst) and sums each pair's contributions in insertion order, which
+ * is exactly what one std::map<pair, double> per layer accumulating `+=`
+ * produced, without a tree node per pair.
+ */
 class TransferAccumulator
 {
   public:
     void
-    add(int src, int dst, double bytes)
+    add(int layer, int src, int dst, double bytes)
     {
         if (bytes <= 0.0)
             return;
-        bytes_[{src, dst}] += bytes;
+        entries_.push_back(Entry{layer, src, dst, bytes});
     }
 
-    std::vector<cost::Transfer>
-    release()
+    /**
+     * Move the sums into @p out, layer l's ascending by (src, dst) at
+     * [begin[l], begin[l + 1]).
+     */
+    void
+    release(int layers, std::vector<cost::Transfer> &out,
+            std::vector<int> &begin)
     {
-        std::vector<cost::Transfer> out;
-        out.reserve(bytes_.size());
-        for (const auto &[key, b] : bytes_)
-            out.push_back(cost::Transfer{key.first, key.second, b});
-        bytes_.clear();
-        return out;
+        std::stable_sort(entries_.begin(), entries_.end(),
+                         [](const Entry &a, const Entry &b) {
+                             return std::tie(a.layer, a.src, a.dst) <
+                                    std::tie(b.layer, b.src, b.dst);
+                         });
+        out.clear();
+        out.reserve(entries_.size());
+        begin.assign(static_cast<std::size_t>(layers) + 1, 0);
+        for (std::size_t i = 0; i < entries_.size();) {
+            const Entry &e = entries_[i];
+            double sum = 0.0;
+            for (; i < entries_.size() && entries_[i].layer == e.layer &&
+                   entries_[i].src == e.src && entries_[i].dst == e.dst;
+                 ++i)
+                sum += entries_[i].bytes;
+            out.push_back(cost::Transfer{e.src, e.dst, sum});
+            ++begin[static_cast<std::size_t>(e.layer) + 1];
+        }
+        for (int l = 0; l < layers; ++l)
+            begin[l + 1] += begin[l];
+        entries_.clear();
     }
 
   private:
-    std::map<std::pair<int, int>, double> bytes_;
+    struct Entry
+    {
+        int layer;
+        int src;
+        int dst;
+        double bytes;
+    };
+    std::vector<Entry> entries_;
 };
 
 /**
@@ -98,7 +132,11 @@ sourceScore(double cover, bool local)
 /**
  * Source lookup over one snapshot, built once per analysis.  For each
  * layer it keeps the layer's holders grouped by the shard interval they
- * hold, and the holders that also carry cache, by old replica.
+ * hold, and the holders that also carry cache, by old replica.  Both are
+ * CSR tables filled by one counting sort over the snapshot: group (layer,
+ * interval) occupies [groupBegin_[g], groupBegin_[g + 1]) of entries_ and
+ * byInstance_, cache holders (layer, replica) the same range of
+ * cacheEntries_.
  *
  * The sources it returns are the ones a scan over every snapshot entry in
  * order picks: the largest cover of the needed interval plus a 1e-6 bonus
@@ -113,45 +151,129 @@ class HolderIndex
   public:
     HolderIndex(const engine::ContextSnapshot &snapshot,
                 const std::vector<HeldSpan> &spans, int layers)
-        : snapshot_(snapshot), spans_(spans), groups_(layers),
-          cacheHolders_(layers)
+        : snapshot_(snapshot), spans_(spans)
     {
-        for (std::size_t k = 0; k < spans.size(); ++k) {
+        const std::size_t n = spans.size();
+        // Distinct shard intervals held anywhere (a handful: one per
+        // (tensor degree, shard) pair in the snapshot), and which old
+        // replica's cache each holder carries (-1: none).
+        std::vector<int> interval(n, -1);
+        std::vector<int> replica(n, -1);
+        for (std::size_t k = 0; k < n; ++k) {
             const HeldSpan &span = spans[k];
             if (!span.valid)
                 continue;
+            const auto iv = std::find(intervals_.begin(), intervals_.end(),
+                                      std::make_pair(span.lo, span.hi));
+            interval[k] = static_cast<int>(iv - intervals_.begin());
+            if (iv == intervals_.end())
+                intervals_.emplace_back(span.lo, span.hi);
             const engine::GpuContext &g = snapshot.gpus[k];
-            for (int l = span.first; l < span.last; ++l) {
-                auto &groups = groups_[static_cast<std::size_t>(l)];
-                auto it = std::find_if(
-                    groups.begin(), groups.end(), [&span](const Group &gr) {
-                        return gr.lo == span.lo && gr.hi == span.hi;
-                    });
-                if (it == groups.end())
-                    it = groups.insert(groups.end(),
-                                       Group{span.lo, span.hi, {}, {}});
-                it->entries.push_back(static_cast<int>(k));
-                it->byInstance.emplace_back(g.instance, static_cast<int>(k));
-                if (g.cacheTokens > 0.0 && g.position.d >= 0) {
-                    auto &by_replica =
-                        cacheHolders_[static_cast<std::size_t>(l)];
-                    const auto d = static_cast<std::size_t>(g.position.d);
-                    if (by_replica.size() <= d)
-                        by_replica.resize(d + 1);
-                    by_replica[d].push_back(static_cast<int>(k));
-                }
+            if (g.cacheTokens > 0.0 && g.position.d >= 0) {
+                replica[k] = g.position.d;
+                replicas_ = std::max(replicas_, g.position.d + 1);
             }
         }
-        for (auto &groups : groups_) {
-            for (Group &gr : groups)
-                std::sort(gr.byInstance.begin(), gr.byInstance.end());
+
+        // Holder segments: a new one starts wherever a held stage starts
+        // or ends.
+        std::vector<int> cut(static_cast<std::size_t>(layers) + 1, 0);
+        for (const HeldSpan &span : spans) {
+            if (span.valid)
+                cut[span.first] = cut[span.last] = 1;
+        }
+        segment_.assign(cut.begin(), cut.end() - 1);
+        segment_[0] = 0;
+        std::partial_sum(segment_.begin(), segment_.end(), segment_.begin());
+
+        // Counting sort by (layer, interval) and by (layer, replica),
+        // filled in snapshot order so every range ascends.
+        groupBegin_.assign(layers * intervals_.size() + 1, 0);
+        cacheBegin_.assign(static_cast<std::size_t>(layers * replicas_) + 1,
+                           0);
+        for (std::size_t k = 0; k < n; ++k) {
+            for (int l = spans[k].first; interval[k] >= 0 && l < spans[k].last;
+                 ++l) {
+                ++groupBegin_[group(l, interval[k]) + 1];
+                if (replica[k] >= 0)
+                    ++cacheBegin_[cacheList(l, replica[k]) + 1];
+            }
+        }
+        std::partial_sum(groupBegin_.begin(), groupBegin_.end(),
+                         groupBegin_.begin());
+        std::partial_sum(cacheBegin_.begin(), cacheBegin_.end(),
+                         cacheBegin_.begin());
+        entries_.resize(static_cast<std::size_t>(groupBegin_.back()));
+        byInstance_.resize(entries_.size());
+        cacheEntries_.resize(static_cast<std::size_t>(cacheBegin_.back()));
+        std::vector<int> next(groupBegin_.begin(), groupBegin_.end() - 1);
+        std::vector<int> cacheNext(cacheBegin_.begin(), cacheBegin_.end() - 1);
+        for (std::size_t k = 0; k < n; ++k) {
+            for (int l = spans[k].first; interval[k] >= 0 && l < spans[k].last;
+                 ++l) {
+                entries_[next[group(l, interval[k])]++] = static_cast<int>(k);
+                if (replica[k] >= 0)
+                    cacheEntries_[cacheNext[cacheList(l, replica[k])]++] =
+                        static_cast<int>(k);
+            }
+        }
+
+        // The same fill in (instance, snapshot index) order sorts every
+        // group's byInstance_ range.
+        std::vector<int> by_instance;
+        for (std::size_t k = 0; k < n; ++k) {
+            if (interval[k] >= 0)
+                by_instance.push_back(static_cast<int>(k));
+        }
+        std::sort(by_instance.begin(), by_instance.end(),
+                  [this](int a, int b) {
+                      return std::make_pair(entry(a).instance, a) <
+                             std::make_pair(entry(b).instance, b);
+                  });
+        next.assign(groupBegin_.begin(), groupBegin_.end() - 1);
+        for (int k : by_instance) {
+            const HeldSpan &span = spans[static_cast<std::size_t>(k)];
+            for (int l = span.first; l < span.last; ++l) {
+                byInstance_[next[group(l, interval[k])]++] = {
+                    entry(k).instance, k};
+            }
         }
     }
 
-    /** Model-context source of [lo, hi) of @p layer for @p gpu. */
+    /**
+     * The holder segment of @p layer.  No held stage starts or ends
+     * inside a segment, so every group and every cache-holder list has
+     * the same members on all of its layers, and so does any source pick.
+     */
+    int segment(int layer) const
+    {
+        return segment_[static_cast<std::size_t>(layer)];
+    }
+
+    /**
+     * The held shard intervals overlapping [lo, hi), with their cover:
+     * the only groups a model-source pick for that interval can use.
+     */
+    void
+    overlapping(double lo, double hi,
+                std::vector<std::pair<int, double>> &out) const
+    {
+        out.clear();
+        for (std::size_t iv = 0; iv < intervals_.size(); ++iv) {
+            const double cover = intervalOverlap(lo, hi, intervals_[iv].first,
+                                                 intervals_[iv].second);
+            if (cover > 0.0)
+                out.emplace_back(static_cast<int>(iv), cover);
+        }
+    }
+
+    /**
+     * Model-context source of @p layer for @p gpu, among the groups
+     * overlapping the needed interval (see overlapping()).
+     */
     const engine::GpuContext *
-    modelSource(int layer, double lo, double hi, par::GpuId gpu,
-                int dst_inst) const
+    modelSource(int layer, const std::vector<std::pair<int, double>> &groups,
+                par::GpuId gpu, int dst_inst) const
     {
         int best = -1;
         double best_score = 0.0;
@@ -162,21 +284,23 @@ class HolderIndex
                 best_score = score;
             }
         };
-        for (const Group &gr : groups_[static_cast<std::size_t>(layer)]) {
-            const double cover = intervalOverlap(lo, hi, gr.lo, gr.hi);
-            if (cover <= 0.0)
-                continue;
-            for (int k : gr.entries) {
-                const engine::GpuContext &g = entry(k);
-                if (g.gpu != gpu && g.instance != dst_inst) {
+        for (const auto &[iv, cover] : groups) {
+            const std::size_t g = group(layer, iv);
+            const int begin = groupBegin_[g];
+            const int end = groupBegin_[g + 1];
+            for (int e = begin; e < end; ++e) {
+                const int k = entries_[static_cast<std::size_t>(e)];
+                const engine::GpuContext &c = entry(k);
+                if (c.gpu != gpu && c.instance != dst_inst) {
                     consider(k, sourceScore(cover, false));
                     break;
                 }
             }
             for (auto it = std::lower_bound(
-                     gr.byInstance.begin(), gr.byInstance.end(),
+                     byInstance_.begin() + begin, byInstance_.begin() + end,
                      std::make_pair(dst_inst, -1));
-                 it != gr.byInstance.end() && it->first == dst_inst; ++it) {
+                 it != byInstance_.begin() + end && it->first == dst_inst;
+                 ++it) {
                 if (entry(it->second).gpu != gpu) {
                     consider(it->second, sourceScore(cover, true));
                     break;
@@ -191,14 +315,13 @@ class HolderIndex
     cacheSource(int layer, double lo, double hi, par::GpuId gpu,
                 int dst_inst, int replica) const
     {
-        const auto &by_replica =
-            cacheHolders_[static_cast<std::size_t>(layer)];
-        if (replica < 0 ||
-            static_cast<std::size_t>(replica) >= by_replica.size())
+        if (replica < 0 || replica >= replicas_)
             return nullptr;
+        const std::size_t r = cacheList(layer, replica);
         const engine::GpuContext *best = nullptr;
         double best_score = 0.0;
-        for (int k : by_replica[static_cast<std::size_t>(replica)]) {
+        for (int e = cacheBegin_[r]; e < cacheBegin_[r + 1]; ++e) {
+            const int k = cacheEntries_[static_cast<std::size_t>(e)];
             const engine::GpuContext &g = entry(k);
             if (g.gpu == gpu)
                 continue;
@@ -216,44 +339,64 @@ class HolderIndex
     }
 
   private:
-    /** Holders of one layer that hold the same shard interval of it. */
-    struct Group
-    {
-        double lo = 0.0;
-        double hi = 0.0;
-        /** Snapshot indices, ascending. */
-        std::vector<int> entries;
-        /** (instance, snapshot index), ascending. */
-        std::vector<std::pair<int, int>> byInstance;
-    };
-
     const engine::GpuContext &
     entry(int k) const
     {
         return snapshot_.gpus[static_cast<std::size_t>(k)];
     }
 
+    /** Index of group (layer, interval) in groupBegin_. */
+    std::size_t
+    group(int layer, int iv) const
+    {
+        return static_cast<std::size_t>(layer) * intervals_.size() +
+               static_cast<std::size_t>(iv);
+    }
+
+    /** Index of the cache holders of (layer, old replica) in cacheBegin_. */
+    std::size_t
+    cacheList(int layer, int replica) const
+    {
+        return static_cast<std::size_t>(layer * replicas_ + replica);
+    }
+
     const engine::ContextSnapshot &snapshot_;
     const std::vector<HeldSpan> &spans_;
-    std::vector<std::vector<Group>> groups_;
-    /** cacheHolders_[layer][replica]: snapshot indices, ascending. */
-    std::vector<std::vector<std::vector<int>>> cacheHolders_;
+    int replicas_ = 0;
+    std::vector<int> segment_;
+    /** Distinct held shard intervals [lo, hi). */
+    std::vector<std::pair<double, double>> intervals_;
+    /** Per (layer, interval) group: snapshot indices, ascending. @{ */
+    std::vector<int> groupBegin_;
+    std::vector<int> entries_;
+    /** The same holders as (instance, snapshot index), ascending. */
+    std::vector<std::pair<int, int>> byInstance_;
+    /** @} */
+    /** Per (layer, old replica): cache holders' snapshot indices. @{ */
+    std::vector<int> cacheBegin_;
+    std::vector<int> cacheEntries_;
+    /** @} */
 };
 
 } // namespace
 
 /**
  * Everything the expensive snapshot pass produces, shared by both cache
- * variants: per-layer transfer lists and buffer deltas, the cache step's
+ * variants: per-layer transfer lists and cold loads, the cache step's
  * transfers, byte accounting, per-(d,p) dependency sets and the
- * Algorithm-2 layer order.
+ * Algorithm-2 layer order.  Per-layer and per-(d,p) lists are flat arrays
+ * with offset tables: entry x's items sit at [begin[x], begin[x + 1]).
  */
 struct MigrationPlanner::Analysis
 {
     int layers = 0;
-    std::vector<std::vector<cost::Transfer>> layerTransfers;
-    /** Cold (disk/S3) bytes per layer, split by loading instance. */
-    std::vector<std::map<int, double>> layerCold;
+    /** Model-context transfers per layer, ascending by (src, dst). */
+    std::vector<cost::Transfer> transfers;
+    std::vector<int> transferBegin;
+    /** Cold (disk/S3) bytes per layer and loading instance, ascending by
+     *  instance (srcInstance == dstInstance == the loading instance). */
+    std::vector<cost::Transfer> cold;
+    std::vector<int> coldBegin;
     std::vector<cost::Transfer> cacheTransfers;
 
     double reusedBytes = 0.0;
@@ -262,8 +405,10 @@ struct MigrationPlanner::Analysis
     double coldLoadBytes = 0.0;
     double peakBufferBytes = 0.0;
 
-    /** Which layers each (d, p) still needs; drives per-replica resume. */
-    std::vector<std::vector<std::vector<int>>> missingByDp;
+    /** Layers each (d, p) still needs, indexed by d * pp + p (with
+     *  repeats: one entry per shard position missing the layer). */
+    std::vector<int> missing;
+    std::vector<int> missingBegin;
     /** Whether replica d takes part in the cache step. */
     std::vector<bool> cacheInvolves;
 
@@ -291,28 +436,6 @@ MigrationPlanner::analyze(const engine::ContextSnapshot &snapshot,
     const int gpi = params_.gpusPerInstance;
     out.layers = layers;
 
-    // ------------------------------------------------------------------
-    // 1. Compute per-layer model-context transfers and the cache step.
-    // ------------------------------------------------------------------
-    std::vector<TransferAccumulator> layer_acc(layers);
-    out.layerCold.assign(layers, {});
-    TransferAccumulator cache_acc;
-    double cache_cold = 0.0;
-
-    // Algorithm 2's buffer model: migrating layer l raises each receiving
-    // instance's footprint by the bytes received and lowers it by the
-    // stale copies of layer l freed on that instance (old slices not
-    // reused by the new positions).  The layer order controls the running
-    // peak: front-to-back can force an instance to absorb its whole new
-    // shard before anything stale frees, while the min-max order
-    // interleaves receives with frees.
-    std::vector<std::map<int, double>> layer_in(layers);
-    std::vector<std::map<int, double>> layer_freed(layers);
-
-    out.missingByDp.assign(target.dp,
-                           std::vector<std::vector<int>>(target.pp));
-    out.cacheInvolves.assign(target.dp, false);
-
     // Every snapshot entry's span, the GPU-id index and the holder index
     // the source picks run on.
     const engine::ContextIndex contexts(snapshot);
@@ -322,16 +445,70 @@ MigrationPlanner::analyze(const engine::ContextSnapshot &snapshot,
         spans.push_back(spanOf(g, spec_));
     const HolderIndex holders(snapshot, spans, layers);
 
+    // Dense instance numbering (ascending id) over every holder and every
+    // target position's instance: the buffer model's per-instance tables
+    // are (layer x instance) arrays in this order.
+    std::vector<int> dst_inst(static_cast<std::size_t>(topo.size()));
+    std::vector<int> insts;
+    insts.reserve(snapshot.gpus.size() + dst_inst.size());
+    for (std::size_t k = 0; k < snapshot.gpus.size(); ++k) {
+        if (spans[k].valid)
+            insts.push_back(snapshot.gpus[k].instance);
+    }
+    for (int i = 0; i < topo.size(); ++i) {
+        dst_inst[static_cast<std::size_t>(i)] =
+            cluster::Instance::instanceOfGpu(
+                mapping.mesh.gpuAt(topo.position(i)), gpi);
+        insts.push_back(dst_inst[static_cast<std::size_t>(i)]);
+    }
+    std::sort(insts.begin(), insts.end());
+    insts.erase(std::unique(insts.begin(), insts.end()), insts.end());
+    const auto num_insts = insts.size();
+    auto inst_index = [&insts](int inst) {
+        return static_cast<std::size_t>(
+            std::lower_bound(insts.begin(), insts.end(), inst) -
+            insts.begin());
+    };
+
+    // ------------------------------------------------------------------
+    // 1. Compute per-layer model-context transfers and the cache step.
+    // ------------------------------------------------------------------
+    TransferAccumulator layer_acc;
+    TransferAccumulator cold_acc;
+    TransferAccumulator cache_acc;
+
+    // Algorithm 2's buffer model: migrating layer l raises each receiving
+    // instance's footprint by the bytes received and lowers it by the
+    // stale copies of layer l freed on that instance (old slices not
+    // reused by the new positions).  The layer order controls the running
+    // peak: front-to-back can force an instance to absorb its whole new
+    // shard before anything stale frees, while the min-max order
+    // interleaves receives with frees.  Row l of each table holds layer
+    // l's per-instance bytes; an instance is present in a row iff its
+    // entry is positive (only positive amounts are ever added).
+    std::vector<double> layer_in(static_cast<std::size_t>(layers) * num_insts,
+                                 0.0);
+    std::vector<double> layer_freed(layer_in.size(), 0.0);
+
+    out.missingBegin.assign(
+        static_cast<std::size_t>(target.dp) * target.pp + 1, 0);
+    out.cacheInvolves.assign(target.dp, false);
+
+    const double layer_bytes = spec_.layerWeightBytes();
+    const double kv_layer_bytes = spec_.kvBytesPerTokenPerLayer();
+    std::vector<std::pair<int, double>> groups;
     for (int i = 0; i < topo.size(); ++i) {
         const par::Position pos = topo.position(i);
         const par::GpuId gpu = mapping.mesh.gpuAt(pos);
-        const int dst_inst = cluster::Instance::instanceOfGpu(gpu, gpi);
+        const int dst = dst_inst[static_cast<std::size_t>(i)];
+        const std::size_t dst_col = inst_index(dst);
         const auto *own = contexts.find(gpu);
         const HeldSpan own_span =
             own ? spans[static_cast<std::size_t>(own - snapshot.gpus.data())]
                 : HeldSpan{};
         const auto [lo, hi] = topo.shardInterval(pos.m);
         const auto [first, last] = topo.stageLayers(pos.p);
+        holders.overlapping(lo, hi, groups);
 
         const int inherit = mapping.inheritedOldPipeline[pos.d];
         const double tokens =
@@ -340,11 +517,16 @@ MigrationPlanner::analyze(const engine::ContextSnapshot &snapshot,
                 ? old_pipeline_tokens[inherit]
                 : 0.0;
 
+        // Sources are picked once per holder segment of the stage.
+        int model_segment = -1;
+        int cache_segment = -1;
+        const engine::GpuContext *model_source = nullptr;
+        const engine::GpuContext *cache_source = nullptr;
         for (int l = first; l < last; ++l) {
             const double needed_frac = hi - lo;
             const double own_frac = coveredFraction(own_span, l, lo, hi);
             double missing_frac = needed_frac - own_frac;
-            out.reusedBytes += own_frac * spec_.layerWeightBytes();
+            out.reusedBytes += own_frac * layer_bytes;
             if (missing_frac <= 1e-12)
                 missing_frac = 0.0;
 
@@ -352,7 +534,7 @@ MigrationPlanner::analyze(const engine::ContextSnapshot &snapshot,
             // in-flight requests and we migrate cache at all).
             const double cache_layer_bytes =
                 (options.migrateCache && tokens > 0.0)
-                    ? tokens * spec_.kvBytesPerTokenPerLayer()
+                    ? tokens * kv_layer_bytes
                     : 0.0;
             double cache_missing_frac = 0.0;
             if (cache_layer_bytes > 0.0) {
@@ -371,32 +553,43 @@ MigrationPlanner::analyze(const engine::ContextSnapshot &snapshot,
             // Pick a source: a daemon holding this layer with the largest
             // interval overlap, preferring the destination instance.
             if (missing_frac > 0.0) {
-                const double bytes = missing_frac * spec_.layerWeightBytes();
+                const double bytes = missing_frac * layer_bytes;
                 out.movedModelBytes += bytes;
-                if (const auto *best =
-                        holders.modelSource(l, lo, hi, gpu, dst_inst)) {
-                    layer_acc[l].add(best->instance, dst_inst, bytes);
+                if (holders.segment(l) != model_segment) {
+                    model_segment = holders.segment(l);
+                    model_source = holders.modelSource(l, groups, gpu, dst);
+                }
+                if (const auto *best = model_source) {
+                    layer_acc.add(l, best->instance, dst, bytes);
                 } else {
                     // No live replica: cold load from disk/S3 (§4.2).
-                    out.layerCold[l][dst_inst] += bytes;
+                    cold_acc.add(l, dst, dst, bytes);
                     out.coldLoadBytes += bytes;
                 }
-                layer_in[l][dst_inst] += bytes;
-                out.missingByDp[pos.d][pos.p].push_back(l);
+                layer_in[static_cast<std::size_t>(l) * num_insts + dst_col] +=
+                    bytes;
+                out.missing.push_back(l);
             }
             if (cache_missing_frac > 0.0) {
                 const double bytes = cache_missing_frac * cache_layer_bytes;
                 out.movedCacheBytes += bytes;
                 out.cacheInvolves[pos.d] = true;
-                if (const auto *best_cache = holders.cacheSource(
-                        l, lo, hi, gpu, dst_inst, inherit))
-                    cache_acc.add(best_cache->instance, dst_inst, bytes);
-                else
-                    cache_cold += bytes; // unrecoverable; treated as loss
+                // Without a holder the cache slice is unrecoverable and
+                // treated as lost: it is recomputed, not moved.
+                if (holders.segment(l) != cache_segment) {
+                    cache_segment = holders.segment(l);
+                    cache_source =
+                        holders.cacheSource(l, lo, hi, gpu, dst, inherit);
+                }
+                if (const auto *best_cache = cache_source)
+                    cache_acc.add(0, best_cache->instance, dst, bytes);
             }
         }
+        // Positions run in (d, p, m) order, so (d, p)'s missing layers
+        // are contiguous.
+        out.missingBegin[static_cast<std::size_t>(pos.d) * target.pp + pos.p +
+                         1] = static_cast<int>(out.missing.size());
     }
-    (void)cache_cold;
 
     // ------------------------------------------------------------------
     // 2. Per-layer memory deltas: stale copies freed on each instance.
@@ -407,56 +600,60 @@ MigrationPlanner::analyze(const engine::ContextSnapshot &snapshot,
             continue;
         const int first = spans[k].first;
         const int last = spans[k].last;
-        const double old_slice =
-            spec_.layerWeightBytes() / g.config.tp;
-        // The part of each old layer slice the GPU keeps in place.
-        const bool mapped = mapping.mesh.contains(g.gpu);
-        par::Position new_pos;
-        if (mapped)
-            new_pos = mapping.mesh.positionOf(g.gpu);
+        const std::size_t col = inst_index(g.instance);
+        const double old_slice = layer_bytes / g.config.tp;
+        // The part of each old layer slice the GPU keeps in place: its
+        // shard overlap on the layers its new stage shares with the old.
+        int nf = 0;
+        int nl = 0;
+        double kept = 0.0;
+        if (mapping.mesh.contains(g.gpu)) {
+            const par::Position new_pos = mapping.mesh.positionOf(g.gpu);
+            std::tie(nf, nl) = topo.stageLayers(new_pos.p);
+            kept = par::shardOverlapFraction(g.position.m, g.config.tp,
+                                             new_pos.m, topo.config().tp) *
+                   layer_bytes;
+        }
         for (int l = first; l < last; ++l) {
-            double kept = 0.0;
-            if (mapped) {
-                const auto [nf, nl] = topo.stageLayers(new_pos.p);
-                if (l >= nf && l < nl) {
-                    kept = par::shardOverlapFraction(
-                               g.position.m, g.config.tp, new_pos.m,
-                               topo.config().tp) *
-                           spec_.layerWeightBytes();
-                }
-            }
-            const double freed = std::max(0.0, old_slice - kept);
+            const double freed =
+                std::max(0.0, old_slice - (l >= nf && l < nl ? kept : 0.0));
             if (freed > 0.0)
-                layer_freed[l][g.instance] += freed;
+                layer_freed[static_cast<std::size_t>(l) * num_insts + col] +=
+                    freed;
         }
     }
 
     // ------------------------------------------------------------------
     // 3. Order the layers (Algorithm 2).
     // ------------------------------------------------------------------
-    std::map<int, double> net; // cumulative footprint delta per instance
+    std::vector<double> net(num_insts, 0.0); // cumulative footprint delta
     double peak = 0.0;
 
     auto apply_layer = [&](int l) {
+        const double *in = &layer_in[static_cast<std::size_t>(l) * num_insts];
+        const double *freed =
+            &layer_freed[static_cast<std::size_t>(l) * num_insts];
         // Transient: the incoming tensors land before the stale copies
         // swap out (per-layer double buffering).
-        for (const auto &[inst, bytes] : layer_in[l]) {
-            net[inst] += bytes;
-            peak = std::max(peak, net[inst]);
+        for (std::size_t j = 0; j < num_insts; ++j) {
+            if (in[j] > 0.0) {
+                net[j] += in[j];
+                peak = std::max(peak, net[j]);
+            }
         }
-        for (const auto &[inst, bytes] : layer_freed[l])
-            net[inst] -= bytes;
+        for (std::size_t j = 0; j < num_insts; ++j) {
+            if (freed[j] > 0.0)
+                net[j] -= freed[j];
+        }
     };
 
+    // Peak footprint right after layer l's tensors land: an instance
+    // receiving bytes contributes delta + bytes, any other its delta.
     auto max_after = [&](int l) {
+        const double *in = &layer_in[static_cast<std::size_t>(l) * num_insts];
         double mx = 0.0;
-        for (const auto &[inst, delta] : net)
-            mx = std::max(mx, delta);
-        for (const auto &[inst, bytes] : layer_in[l]) {
-            auto it = net.find(inst);
-            const double base = it == net.end() ? 0.0 : it->second;
-            mx = std::max(mx, base + bytes);
-        }
+        for (std::size_t j = 0; j < num_insts; ++j)
+            mx = std::max(mx, in[j] > 0.0 ? net[j] + in[j] : net[j]);
         return mx;
     };
 
@@ -497,10 +694,10 @@ MigrationPlanner::analyze(const engine::ContextSnapshot &snapshot,
     }
     out.peakBufferBytes = peak;
 
-    out.layerTransfers.resize(layers);
-    for (int l = 0; l < layers; ++l)
-        out.layerTransfers[l] = layer_acc[l].release();
-    out.cacheTransfers = cache_acc.release();
+    layer_acc.release(layers, out.transfers, out.transferBegin);
+    cold_acc.release(layers, out.cold, out.coldBegin);
+    std::vector<int> cache_begin;
+    cache_acc.release(1, out.cacheTransfers, cache_begin);
     return out;
 }
 
@@ -522,6 +719,7 @@ MigrationPlanner::assemble(const Analysis &analysis,
     // ------------------------------------------------------------------
     plan.cacheMigrated = include_cache && analysis.movedCacheBytes > 0.0;
     plan.movedCacheBytes = include_cache ? analysis.movedCacheBytes : 0.0;
+    plan.steps.reserve(analysis.order.size() + 1);
     if (plan.cacheMigrated) {
         MigrationStep step;
         step.layer = -1;
@@ -533,10 +731,15 @@ MigrationPlanner::assemble(const Analysis &analysis,
     for (int l : analysis.order) {
         MigrationStep step;
         step.layer = l;
-        step.transfers = analysis.layerTransfers[l];
-        for (const auto &[inst, bytes] : analysis.layerCold[l]) {
-            step.coldBytes = std::max(step.coldBytes, bytes);
-            step.coldLoads.emplace_back(inst, bytes);
+        step.transfers.assign(
+            analysis.transfers.begin() + analysis.transferBegin[l],
+            analysis.transfers.begin() + analysis.transferBegin[l + 1]);
+        for (int c = analysis.coldBegin[l]; c < analysis.coldBegin[l + 1];
+             ++c) {
+            const cost::Transfer &load =
+                analysis.cold[static_cast<std::size_t>(c)];
+            step.coldBytes = std::max(step.coldBytes, load.bytes);
+            step.coldLoads.emplace_back(load.dstInstance, load.bytes);
         }
         step_of_layer[l] = static_cast<int>(plan.steps.size());
         plan.steps.push_back(std::move(step));
@@ -552,7 +755,10 @@ MigrationPlanner::assemble(const Analysis &analysis,
             auto &deps = plan.dpStepDeps[d][p];
             if (plan.cacheMigrated && analysis.cacheInvolves[d])
                 deps.push_back(0); // cache precedes everything
-            for (int l : analysis.missingByDp[d][p]) {
+            const auto dp = static_cast<std::size_t>(d) * target.pp + p;
+            for (int x = analysis.missingBegin[dp];
+                 x < analysis.missingBegin[dp + 1]; ++x) {
+                const int l = analysis.missing[static_cast<std::size_t>(x)];
                 if (step_of_layer[l] >= 0)
                     deps.push_back(step_of_layer[l]);
             }
@@ -616,6 +822,7 @@ MigrationPlanner::assemble(const Analysis &analysis,
 
     return plan;
 }
+
 
 std::vector<cost::TransferStep>
 MigrationPlanner::transferSteps(const MigrationPlan &plan)
@@ -711,27 +918,16 @@ MigrationPlanner::plan(const engine::ContextSnapshot &snapshot,
                        const MappingResult &mapping,
                        const par::ParallelConfig &target,
                        const std::vector<double> &old_pipeline_tokens,
-                       PlannerOptions options) const
+                       PlannerOptions options,
+                       const KeepCache &keep_cache) const
 {
     const Analysis analysis =
         analyze(snapshot, mapping, target, old_pipeline_tokens, options);
-    return assemble(analysis, target, options, options.migrateCache);
-}
-
-MigrationPlanPair
-MigrationPlanner::planBoth(const engine::ContextSnapshot &snapshot,
-                           const MappingResult &mapping,
-                           const par::ParallelConfig &target,
-                           const std::vector<double> &old_pipeline_tokens,
-                           PlannerOptions options) const
-{
-    const Analysis analysis =
-        analyze(snapshot, mapping, target, old_pipeline_tokens, options);
-    MigrationPlanPair pair;
-    pair.withCache =
+    MigrationPlan out =
         assemble(analysis, target, options, options.migrateCache);
-    pair.withoutCache = assemble(analysis, target, options, false);
-    return pair;
+    if (keep_cache && !keep_cache(out) && out.cacheMigrated)
+        out = assemble(analysis, target, options, false);
+    return out;
 }
 
 } // namespace core

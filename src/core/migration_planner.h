@@ -15,6 +15,7 @@
 #ifndef SPOTSERVE_CORE_MIGRATION_PLANNER_H
 #define SPOTSERVE_CORE_MIGRATION_PLANNER_H
 
+#include <functional>
 #include <vector>
 
 #include "core/device_mapper.h"
@@ -147,20 +148,6 @@ struct PlannerOptions
     bool linkSchedule = true;
 };
 
-/**
- * A with-cache plan and its no-cache sibling, produced from ONE analysis
- * pass over the snapshot.  The interruption arranger compares
- * withCache.totalDuration against the recompute cost and may flip to the
- * no-cache variant (§4.1), and the fault-tolerance path (§4.2) falls back
- * to it when the grace deadline cannot be met — both used to trigger a
- * second full planning pass; now they read the memoised sibling.
- */
-struct MigrationPlanPair
-{
-    MigrationPlan withCache;
-    MigrationPlan withoutCache;
-};
-
 /** The migration planner. */
 class MigrationPlanner
 {
@@ -169,31 +156,35 @@ class MigrationPlanner
                      const cost::CostParams &params);
 
     /**
+     * The interruption arranger's migrate-vs-recompute decision (§4.1):
+     * given the plan assembled with cache, whether to keep its cache step.
+     */
+    using KeepCache = std::function<bool(const MigrationPlan &with_cache)>;
+
+    /**
      * Build the schedule realising @p mapping for @p target, given the
      * context daemons' current holdings in @p snapshot.
      *
      * @param old_pipeline_tokens cached tokens per old replica (sizing the
      *        cache step); may be empty.
+     * @param keep_cache when set, called once with the plan assembled
+     *        under @p options.  If it returns false and that plan moves
+     *        cache, the no-cache plan is assembled from the same snapshot
+     *        analysis and returned instead — byte-identical to planning
+     *        again with migrateCache off, without a second analysis pass.
+     *        The link schedule behind the planner's timing is therefore
+     *        built a second time only when the flip is actually taken.
+     *        The §4.2 grace-deadline fallback does not come through here:
+     *        it fires after the drain, when a source may have died, so
+     *        SpotServeSystem::startMigration re-plans against the holdings
+     *        of that moment.
      */
     MigrationPlan plan(const engine::ContextSnapshot &snapshot,
                        const MappingResult &mapping,
                        const par::ParallelConfig &target,
                        const std::vector<double> &old_pipeline_tokens,
-                       PlannerOptions options = {}) const;
-
-    /**
-     * Both cache variants from a single snapshot analysis (the per-layer
-     * transfer/ordering computation dominates planning and is shared;
-     * only the cheap assembly differs).  withCache honours
-     * @p options.migrateCache — when the caller already disabled the
-     * cache, the two plans are identical.  Byte-identical to calling
-     * plan() twice with migrateCache toggled.
-     */
-    MigrationPlanPair
-    planBoth(const engine::ContextSnapshot &snapshot,
-             const MappingResult &mapping, const par::ParallelConfig &target,
-             const std::vector<double> &old_pipeline_tokens,
-             PlannerOptions options = {}) const;
+                       PlannerOptions options = {},
+                       const KeepCache &keep_cache = {}) const;
 
     /**
      * Re-derive every timing field of @p plan (step offsets, stageReady,
@@ -216,7 +207,7 @@ class MigrationPlanner
   private:
     struct Analysis;
 
-    /** The expensive shared pass: transfers, buffer deltas, layer order. */
+    /** The expensive pass: transfers, buffer deltas, layer order. */
     Analysis analyze(const engine::ContextSnapshot &snapshot,
                      const MappingResult &mapping,
                      const par::ParallelConfig &target,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 #include <utility>
 
 #include "simcore/logging.h"
@@ -591,44 +590,16 @@ SpotServeSystem::beginReconfig(const par::ParallelConfig &target,
         }
     }
 
-    PlannerOptions popts;
-    popts.progressive = options_.enableMigrationPlanner;
-    popts.memoryOpt = options_.enableMigrationPlanner;
-    popts.migrateCache = options_.enableArranger;
-    popts.linkSchedule = options_.linkDataPlane;
-    // One analysis pass yields both cache variants; the arranger's
-    // migrate-vs-recompute flip below reads the memoised no-cache
-    // sibling instead of re-running the planner.
-    auto plans =
-        planner_.planBoth(snapshot, mapping, target, old_tokens, popts);
-
-    PendingMigration pm{target,
-                        std::move(mapping),
-                        std::move(plans.withCache),
-                        std::move(plans.withoutCache),
-                        std::move(old_tokens),
-                        reason,
-                        0,
-                        deadline,
-                        true,
-                        hasDeployment(),
-                        std::move(kept),
-                        std::move(touched),
-                        {},
-                        {},
-                        -1,
-                        false,
-                        {}};
-
     // Arranger: decide whether moving the cache beats recomputation and
     // how long each affected pipeline may keep decoding (JIT, §4.1).
     // Only drained batches migrate, so only they count here.
+    const bool had_deployment = hasDeployment();
     double committed_work = 0.0;
-    if (pm.hadDeployment) {
+    if (had_deployment) {
         const auto &dep = deployment();
         for (std::size_t od = 0; od < dep.pipelines.size(); ++od) {
             const auto &p = dep.pipelines[od];
-            if (!p || p->batch().empty() || !pm.touchedOld[od])
+            if (!p || p->batch().empty() || !touched[od])
                 continue;
             par::ParallelConfig c = dep.config;
             c.batch = static_cast<int>(p->batch().size());
@@ -642,10 +613,40 @@ SpotServeSystem::beginReconfig(const par::ParallelConfig &target,
             }
         }
     }
-    pm.migrateCache = options_.enableArranger &&
-                      pm.plan.totalDuration < committed_work;
-    if (!pm.migrateCache && pm.plan.cacheMigrated)
-        pm.plan = pm.noCachePlan;
+
+    PlannerOptions popts;
+    popts.progressive = options_.enableMigrationPlanner;
+    popts.memoryOpt = options_.enableMigrationPlanner;
+    popts.migrateCache = options_.enableArranger;
+    popts.linkSchedule = options_.linkDataPlane;
+    // Migrate the cache only when moving it beats recomputing the drained
+    // work; on a flip the planner assembles the no-cache plan from the
+    // same analysis pass.
+    bool migrate_cache = false;
+    auto plan = planner_.plan(
+        snapshot, mapping, target, old_tokens, popts,
+        [&](const MigrationPlan &with_cache) {
+            migrate_cache = options_.enableArranger &&
+                            with_cache.totalDuration < committed_work;
+            return migrate_cache;
+        });
+
+    PendingMigration pm{target,
+                        std::move(mapping),
+                        std::move(plan),
+                        std::move(old_tokens),
+                        reason,
+                        0,
+                        deadline,
+                        migrate_cache,
+                        had_deployment,
+                        std::move(kept),
+                        std::move(touched),
+                        {},
+                        {},
+                        -1,
+                        false,
+                        {}};
 
     phase_ = Phase::Draining;
     pending_ = std::move(pm);
@@ -795,16 +796,18 @@ SpotServeSystem::startMigration()
     // deadline decision below must judge.  The plan's step offsets,
     // stageReady and per-replica resumes are re-derived from the quoted
     // step finishes, so contention propagates into the activation events.
+    // The last quote taken is what the commit below reserves.
+    std::optional<TransferDataPlane::Quote> quote;
     if (options_.linkDataPlane) {
         // A plan whose interleaved schedule could not beat the serialized
         // cursor still runs through the data plane, just with per-step
         // wire barriers — either way the executed timeline is a feasible
         // link schedule built from live link state.
-        const auto quote = dataPlane_.preview(
-            MigrationPlanner::transferSteps(pm.plan),
-            params_.migrationSetupTime, pm.plan.linkScheduled);
-        planner_.retime(pm.plan, pm.target, popts, quote.stepStart,
-                        quote.stepFinish);
+        quote = dataPlane_.preview(MigrationPlanner::transferSteps(pm.plan),
+                                   params_.migrationSetupTime,
+                                   pm.plan.linkScheduled);
+        planner_.retime(pm.plan, pm.target, popts, quote->stepStart,
+                        quote->stepFinish);
     }
 
     double duration = pm.plan.totalDuration;
@@ -818,7 +821,7 @@ SpotServeSystem::startMigration()
     // earliest grace deadline, first give up the cache context; weights
     // that still cannot move in time reload from cloud storage at disk
     // bandwidth.  Unlike the arranger's flip (which happens at planning
-    // time and reads the memoised no-cache sibling), this fallback fires
+    // time and reuses that planning pass's analysis), this fallback fires
     // after the drain consumed most of the grace period, so it re-plans
     // against the *current* holdings — a migration source may have died
     // since beginReconfig and the schedule must not pretend otherwise.
@@ -831,11 +834,11 @@ SpotServeSystem::startMigration()
             pm.plan = planner_.plan(snapshot, pm.mapping, pm.target,
                                     pm.oldTokens, popts);
             if (options_.linkDataPlane) {
-                const auto quote = dataPlane_.preview(
+                quote = dataPlane_.preview(
                     MigrationPlanner::transferSteps(pm.plan),
                     params_.migrationSetupTime, pm.plan.linkScheduled);
-                planner_.retime(pm.plan, pm.target, popts, quote.stepStart,
-                                quote.stepFinish);
+                planner_.retime(pm.plan, pm.target, popts,
+                                quote->stepStart, quote->stepFinish);
             }
             duration = pm.plan.totalDuration;
             resume = pm.plan.resumeOffset;
@@ -941,8 +944,11 @@ SpotServeSystem::startMigration()
             // (class, level) pair an earlier kept member already brought
             // are not charged for it again.  The store re-attaches the
             // inherited batch with exactly this dedup, so the trim
-            // matches what the replica will really hold.
-            std::set<std::pair<int, long>> cohort_levels;
+            // matches what the replica will really hold.  A member
+            // carries its class's levels [0, n), so the cohort's levels of
+            // a class are [0, most carried so far) and the overlap with a
+            // new member is the smaller of the two counts.
+            std::vector<std::pair<int, long>> cohort_levels;
             long charged = 0;
             std::size_t keep = 0;
             while (keep < recovered.size() &&
@@ -951,14 +957,21 @@ SpotServeSystem::startMigration()
                 long charge = r.kvChargedBlocks(mode, blk);
                 if (engineOptions().prefixSharing &&
                     r.request.prefixId >= 0) {
-                    const long shared = std::min<long>(
-                        r.kvTokensHeld(), r.request.prefixLen);
-                    for (long l = 0; l < shared / blk; ++l) {
-                        if (!cohort_levels
-                                 .insert({r.request.prefixId, l})
-                                 .second)
-                            --charge; // block already carried by cohort
-                    }
+                    const long levels =
+                        std::min<long>(r.kvTokensHeld(),
+                                       r.request.prefixLen) /
+                        blk;
+                    auto cls = std::find_if(
+                        cohort_levels.begin(), cohort_levels.end(),
+                        [&r](const auto &c) {
+                            return c.first == r.request.prefixId;
+                        });
+                    if (cls == cohort_levels.end())
+                        cls = cohort_levels.insert(
+                            cohort_levels.end(), {r.request.prefixId, 0L});
+                    // Blocks already carried by the cohort are free.
+                    charge -= std::min(levels, cls->second);
+                    cls->second = std::max(cls->second, levels);
                     charge = std::max(charge, 0L);
                 }
                 if (charged + charge > budget)
@@ -1008,10 +1021,8 @@ SpotServeSystem::startMigration()
             so.deadline = options_.migrationDeadlineFactor *
                           std::max(pm.plan.totalDuration, 1.0);
         }
-        const auto committed = dataPlane_.submit(
-            MigrationPlanner::transferSteps(pm.plan),
-            params_.migrationSetupTime, pm.plan.linkScheduled,
-            std::move(so));
+        const auto committed =
+            dataPlane_.submit(std::move(*quote), std::move(so));
         pm.planId = committed.planId;
     }
 

@@ -27,17 +27,6 @@ TransferDataPlane::TransferDataPlane(sim::Executor &executor,
 {
 }
 
-cost::LinkScheduleResult
-TransferDataPlane::buildSchedule(const std::vector<cost::TransferStep> &steps,
-                                 double setup_time, bool interleave) const
-{
-    cost::LinkScheduleOptions opts;
-    opts.interleave = interleave;
-    opts.startTime = executor_.now();
-    opts.setupTime = setup_time;
-    return scheduler_.build(steps, opts, busyUntil_);
-}
-
 bool
 TransferDataPlane::touchesBusyLink(
     const std::vector<cost::TransferStep> &steps) const
@@ -98,21 +87,30 @@ TransferDataPlane::planRemainderTouches(const InFlight &plan,
     return false;
 }
 
-TransferDataPlane::Result
-TransferDataPlane::preview(const std::vector<cost::TransferStep> &steps,
+TransferDataPlane::Quote
+TransferDataPlane::preview(std::vector<cost::TransferStep> steps,
                            double setup_time, bool interleave) const
 {
     const double now = executor_.now();
-    const auto sched = buildSchedule(steps, setup_time, interleave);
-    Result out;
-    out.stepStart.reserve(sched.stepStart.size());
-    out.stepFinish.reserve(sched.stepFinish.size());
-    for (double s : sched.stepStart)
+    cost::LinkScheduleOptions opts;
+    opts.interleave = interleave;
+    opts.startTime = now;
+    opts.setupTime = setup_time;
+    Quote out;
+    out.schedule = scheduler_.build(steps, opts, busyUntil_);
+    out.stepStart.reserve(out.schedule.stepStart.size());
+    out.stepFinish.reserve(out.schedule.stepFinish.size());
+    for (double s : out.schedule.stepStart)
         out.stepStart.push_back(s - now);
-    for (double f : sched.stepFinish)
+    for (double f : out.schedule.stepFinish)
         out.stepFinish.push_back(f - now);
-    out.makespan = sched.makespan - now;
+    out.makespan = out.schedule.makespan - now;
     out.contended = touchesBusyLink(steps);
+    out.steps = std::move(steps);
+    out.setupTime = setup_time;
+    out.interleave = interleave;
+    out.builtAt = now;
+    out.revision = busyRevision_;
     return out;
 }
 
@@ -123,7 +121,7 @@ TransferDataPlane::submit(const std::vector<cost::TransferStep> &steps,
 {
     SubmitOptions options;
     options.onDone = std::move(on_done);
-    return submit(steps, setup_time, interleave, std::move(options));
+    return submit(preview(steps, setup_time, interleave), std::move(options));
 }
 
 TransferDataPlane::Result
@@ -131,51 +129,59 @@ TransferDataPlane::submit(const std::vector<cost::TransferStep> &steps,
                           double setup_time, bool interleave,
                           SubmitOptions options)
 {
-    const double now = executor_.now();
-    const auto sched = buildSchedule(steps, setup_time, interleave);
+    return submit(preview(steps, setup_time, interleave), std::move(options));
+}
 
-    Result out;
-    out.stepStart.reserve(sched.stepStart.size());
-    out.stepFinish.reserve(sched.stepFinish.size());
-    for (double s : sched.stepStart)
-        out.stepStart.push_back(s - now);
-    for (double f : sched.stepFinish)
-        out.stepFinish.push_back(f - now);
-    out.makespan = sched.makespan - now;
-    out.contended = touchesBusyLink(steps);
+TransferDataPlane::Result
+TransferDataPlane::submit(Quote quote, SubmitOptions options)
+{
+    const double now = executor_.now();
+    if (quote.revision != busyRevision_ || quote.builtAt != now) {
+        // The links moved (or time passed) since the preview: quote again.
+        quote = preview(std::move(quote.steps), quote.setupTime,
+                        quote.interleave);
+    }
+    cost::LinkScheduleResult &sched = quote.schedule;
 
     InFlight plan;
     plan.id = nextPlanId_++;
-    plan.steps = steps;
     plan.stepFinishAbs = sched.stepFinish;
-    plan.finishAbs = now + std::max(out.makespan, 0.0);
+    plan.finishAbs = now + std::max(quote.makespan, 0.0);
     plan.onDone = std::move(options.onDone);
     plan.onFail = std::move(options.onFail);
     // Remember which links this plan extends (and from where), so an
     // abort can hand back the unused reservation tail.
+    std::vector<std::pair<cost::LinkId, double>> finishes;
+    finishes.reserve(2 * sched.slices.size());
     for (const auto &slice : sched.slices) {
-        for (int k = 0; k < slice.numLinks; ++k) {
-            const cost::LinkId l = slice.links[k];
-            auto &horizon = plan.planBusy[l];
-            horizon = std::max(horizon, slice.finish);
-            if (!plan.busyBefore.count(l)) {
-                auto it = busyUntil_.find(l);
-                plan.busyBefore[l] =
-                    it == busyUntil_.end() ? 0.0 : it->second;
-            }
-        }
+        for (int k = 0; k < slice.numLinks; ++k)
+            finishes.emplace_back(slice.links[k], slice.finish);
+    }
+    std::sort(finishes.begin(), finishes.end(),
+              [](const auto &a, const auto &b) { return a.first < b.first; });
+    for (std::size_t i = 0; i < finishes.size();) {
+        InFlight::LinkHold hold;
+        hold.link = finishes[i].first;
+        for (; i < finishes.size() && finishes[i].first == hold.link; ++i)
+            hold.horizon = std::max(hold.horizon, finishes[i].second);
+        auto it = busyUntil_.find(hold.link);
+        hold.before = it == busyUntil_.end() ? 0.0 : it->second;
+        plan.holds.push_back(hold);
     }
 
     // Commit: the schedule's link occupancy becomes the new busy state.
-    busyUntil_ = sched.linkBusyUntil;
+    busyUntil_ = std::move(sched.linkBusyUntil);
+    ++busyRevision_;
     prune();
 
     ++submissions_;
-    if (out.contended)
+    if (quote.contended)
         ++contendedSubmissions_;
-    for (const auto &s : steps)
+    for (const auto &s : quote.steps)
         totalBytesScheduled_ += stepBytes(s);
+    plan.steps = std::move(quote.steps);
 
+    Result out = std::move(static_cast<Result &>(quote));
     out.planId = plan.id;
     if (options.deadline > 0.0) {
         plan.deadlineAbs = now + options.deadline;
@@ -274,19 +280,17 @@ void
 TransferDataPlane::releasePlanLinks(const InFlight &plan)
 {
     const double now = executor_.now();
-    for (const auto &[l, horizon] : plan.planBusy) {
-        auto it = busyUntil_.find(l);
+    ++busyRevision_;
+    for (const auto &hold : plan.holds) {
+        auto it = busyUntil_.find(hold.link);
         if (it == busyUntil_.end())
             continue;
         // Only hand back the tail if no later plan extended this link.
-        if (std::abs(it->second - horizon) < kEps) {
-            auto before = plan.busyBefore.find(l);
-            const double restored =
-                before == plan.busyBefore.end() ? 0.0 : before->second;
-            if (restored <= now)
+        if (std::abs(it->second - hold.horizon) < kEps) {
+            if (hold.before <= now)
                 busyUntil_.erase(it);
             else
-                it->second = restored;
+                it->second = hold.before;
         }
     }
 }
@@ -325,14 +329,15 @@ TransferDataPlane::delayPlan(InFlight &plan, double delay)
             finish += delay;
     }
     plan.finishAbs += delay;
-    for (auto &[l, horizon] : plan.planBusy) {
-        if (horizon > now + kEps) {
-            horizon += delay;
-            auto it = busyUntil_.find(l);
+    ++busyRevision_;
+    for (auto &hold : plan.holds) {
+        if (hold.horizon > now + kEps) {
+            hold.horizon += delay;
+            auto it = busyUntil_.find(hold.link);
             if (it != busyUntil_.end())
-                it->second = std::max(it->second, horizon);
+                it->second = std::max(it->second, hold.horizon);
             else
-                busyUntil_[l] = horizon;
+                busyUntil_[hold.link] = hold.horizon;
         }
     }
     ++plan.rev;
@@ -345,6 +350,7 @@ TransferDataPlane::stallInstanceLinks(int instance, double duration)
     if (duration <= 0.0)
         return;
     const double now = executor_.now();
+    ++busyRevision_;
     // The blackout also blocks plans submitted while it lasts.
     for (cost::LinkType type :
          {cost::LinkType::NicSend, cost::LinkType::NicRecv,
@@ -454,10 +460,12 @@ TransferDataPlane::prune()
 {
     const double now = executor_.now();
     for (auto it = busyUntil_.begin(); it != busyUntil_.end();) {
-        if (it->second <= now)
+        if (it->second <= now) {
             it = busyUntil_.erase(it);
-        else
+            ++busyRevision_;
+        } else {
             ++it;
+        }
     }
 }
 

@@ -12,12 +12,18 @@
  * the wall-clock executor.
  *
  * Protocol: preview() quotes a schedule against the current link state
- * without reserving anything (the §4.2 grace-deadline decision and the
- * no-cache fallback both want quotes for plans they may discard);
- * submit() builds the same schedule, reserves the links it occupies, and
- * schedules a completion event at the makespan.  Both are deterministic:
- * a preview followed by a submit in the same executor event returns the
- * identical timeline.
+ * without reserving anything (the §4.2 grace-deadline decision wants a
+ * quote for a plan it may discard); submit() commits a quote: it reserves
+ * the links the schedule occupies and schedules a completion event at the
+ * makespan.  A quote carries the schedule it was built from, the executor
+ * time it was built at and the data plane's busy-state revision, which is
+ * bumped by every change to the link horizons (a commit, pruning passed
+ * horizons, releasing an aborted or cancelled plan's links, delaying or
+ * stalling links).  While both still match, submit() commits the quoted
+ * schedule as is; otherwise it rebuilds it from the quote's steps against
+ * the current state.  Either way the committed timeline is what a fresh
+ * build at submit time yields, so a preview followed by a submit in the
+ * same executor event returns the identical timeline and costs one build.
  *
  * Every submission is tracked in flight until its completion event fires,
  * which makes transfers cancellable: failInstance() aborts any plan whose
@@ -94,16 +100,40 @@ class TransferDataPlane
     };
 
     /**
+     * A preview: the quoted timeline plus what submit() needs to commit
+     * it without a rebuild.
+     */
+    struct Quote : Result
+    {
+      private:
+        friend class TransferDataPlane;
+        std::vector<cost::TransferStep> steps;
+        double setupTime = 0.0;
+        bool interleave = true;
+        /** The schedule behind the quote, in absolute times. */
+        cost::LinkScheduleResult schedule;
+        /** Executor time and busy-state revision it was built at. @{ */
+        double builtAt = 0.0;
+        long revision = -1;
+        /** @} */
+    };
+
+    /**
      * Quote @p steps against the current link state without reserving
      * links.  @p setup_time is charged once at the front.
      */
-    Result preview(const std::vector<cost::TransferStep> &steps,
-                   double setup_time, bool interleave = true) const;
+    Quote preview(std::vector<cost::TransferStep> steps, double setup_time,
+                  bool interleave = true) const;
 
     /**
-     * Schedule @p steps now: reserve every link slice the schedule
-     * occupies and fire @p on_done (if any) at the makespan.
+     * Commit @p quote now: reserve every link slice its schedule occupies
+     * and fire the callbacks per @p options.  The schedule is rebuilt
+     * first only when the link state or the time changed since the
+     * preview.
      */
+    Result submit(Quote quote, SubmitOptions options);
+
+    /** Preview and commit @p steps in one go; fires @p on_done (if any). */
     Result submit(const std::vector<cost::TransferStep> &steps,
                   double setup_time, bool interleave = true,
                   std::function<void()> on_done = {});
@@ -185,17 +215,20 @@ class TransferDataPlane
         double deadlineAbs = 0.0; ///< 0: none.
         std::function<void()> onDone;
         std::function<void(const PlanFailure &)> onFail;
-        /** This plan's final horizon per link it occupies. */
-        std::map<cost::LinkId, double> planBusy;
-        /** The horizon each of those links had before this plan. */
-        std::map<cost::LinkId, double> busyBefore;
+        /** A link this plan occupies: the plan's final horizon on it and
+         *  the horizon the link had before this plan. */
+        struct LinkHold
+        {
+            cost::LinkId link;
+            double horizon = 0.0;
+            double before = 0.0;
+        };
+        /** Ascending by link. */
+        std::vector<LinkHold> holds;
         /** Bumped whenever the completion event is rescheduled. */
         long rev = 0;
     };
 
-    cost::LinkScheduleResult
-    buildSchedule(const std::vector<cost::TransferStep> &steps,
-                  double setup_time, bool interleave) const;
     bool touchesBusyLink(const std::vector<cost::TransferStep> &steps) const;
     static bool stepTouches(const cost::TransferStep &step, int instance);
     bool planRemainderTouches(const InFlight &plan, int instance) const;
@@ -210,6 +243,8 @@ class TransferDataPlane
     sim::Executor &executor_;
     cost::LinkSchedule scheduler_;
     std::map<cost::LinkId, double> busyUntil_;
+    /** Bumped at every change to busyUntil_; quotes record it. */
+    long busyRevision_ = 0;
     std::map<PlanId, InFlight> inFlight_;
     PlanId nextPlanId_ = 0;
     long submissions_ = 0;

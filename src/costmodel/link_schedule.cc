@@ -1,10 +1,10 @@
 #include "costmodel/link_schedule.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <functional>
+#include <cstdint>
 #include <limits>
-#include <queue>
 
 namespace spotserve {
 namespace cost {
@@ -61,7 +61,8 @@ class RunningSet
         : items_(items), next_(2 * items.size(), -1),
           prev_(2 * items.size(), -1), head_(num_links, -1),
           tail_(num_links, -1), owner_(num_links, -1),
-          marks_(items.size(), 0)
+          marks_(items.size(), 0), pending_(words(items.size()), 0),
+          running_(pending_.size(), 0)
     {
         for (std::size_t i = 0; i < items.size(); ++i) {
             for (int k = 0; k < items[i].numLinks; ++k) {
@@ -106,55 +107,71 @@ class RunningSet
      * Re-decide every marked item, and everything that re-decision
      * reaches, in priority order.  @p held(item) tells whether the item
      * is ineligible or one of its links is externally held right now.
-     * Items that start running are appended to @p started.
+     *
+     * Deciding item x only ever marks items after x (the later owners it
+     * preempts and the queue successors of links it frees or passes
+     * on), so one forward sweep over the pending bitmap visits the marks
+     * in the order a priority queue would pop them.
      */
-    void settle(const std::function<bool(const Item &)> &held,
-                std::vector<Item *> &started)
+    template <typename Held>
+    void
+    settle(const Held &held)
     {
-        while (!queue_.empty()) {
-            const int x = queue_.top();
-            queue_.pop();
-            const unsigned char reasons = marks_[static_cast<std::size_t>(x)];
-            marks_[static_cast<std::size_t>(x)] = 0;
-            Item &it = items_[static_cast<std::size_t>(x)];
-            if (it.done)
-                continue;
-            bool free = !held(it);
-            for (int k = 0; k < it.numLinks && free; ++k)
-                free = freeAt(it.slots[k], x);
-            if (free && !it.running) {
-                for (int k = 0; k < it.numLinks; ++k) {
-                    const int o = owner_[static_cast<std::size_t>(it.slots[k])];
-                    if (o >= 0 && o != x)
-                        stop(o);
-                }
-                for (int k = 0; k < it.numLinks; ++k)
-                    owner_[static_cast<std::size_t>(it.slots[k])] = x;
-                it.running = true;
-                started.push_back(&it);
-            } else if (!free && it.running) {
-                stop(x);
-            } else if (!free) {
-                // Still blocked: a link freed up to here stays free for
-                // the next item in its queue.
-                for (int k = 0; k < it.numLinks; ++k) {
-                    if ((reasons & (1u << k)) != 0 && freeAt(it.slots[k], x))
-                        follow(next_[static_cast<std::size_t>(2 * x + k)]);
+        for (std::size_t w = 0; w < pending_.size(); ++w) {
+            while (pending_[w] != 0) {
+                const int x = static_cast<int>(
+                    64 * w + static_cast<std::size_t>(
+                                 std::countr_zero(pending_[w])));
+                pending_[w] &= pending_[w] - 1;
+                const unsigned char reasons =
+                    marks_[static_cast<std::size_t>(x)];
+                marks_[static_cast<std::size_t>(x)] = 0;
+                Item &it = items_[static_cast<std::size_t>(x)];
+                if (it.done)
+                    continue;
+                bool free = !held(it);
+                for (int k = 0; k < it.numLinks && free; ++k)
+                    free = freeAt(it.slots[k], x);
+                if (free && !it.running) {
+                    for (int k = 0; k < it.numLinks; ++k) {
+                        const int o =
+                            owner_[static_cast<std::size_t>(it.slots[k])];
+                        if (o >= 0 && o != x)
+                            stop(o);
+                    }
+                    for (int k = 0; k < it.numLinks; ++k)
+                        owner_[static_cast<std::size_t>(it.slots[k])] = x;
+                    it.running = true;
+                    running_[w] |= std::uint64_t{1} << (x % 64);
+                } else if (!free && it.running) {
+                    stop(x);
+                } else if (!free) {
+                    // Still blocked: a link freed up to here stays free
+                    // for the next item in its queue.
+                    for (int k = 0; k < it.numLinks; ++k) {
+                        if ((reasons & (1u << k)) != 0 &&
+                            freeAt(it.slots[k], x))
+                            follow(next_[static_cast<std::size_t>(2 * x + k)]);
+                    }
                 }
             }
         }
     }
 
+    /** Running items as a bitmap over item indices (bit i of word i/64). */
+    const std::vector<std::uint64_t> &running() const { return running_; }
+
   private:
     static constexpr unsigned char kDecide = 4;
+
+    static std::size_t words(std::size_t n) { return (n + 63) / 64; }
 
     void
     mark(int item, unsigned char reasons)
     {
-        unsigned char &m = marks_[static_cast<std::size_t>(item)];
-        if (m == 0)
-            queue_.push(item);
-        m |= reasons;
+        marks_[static_cast<std::size_t>(item)] |= reasons;
+        pending_[static_cast<std::size_t>(item) / 64] |= std::uint64_t{1}
+                                                         << (item % 64);
     }
 
     /** Re-decide the item at queue node @p node, following its link. */
@@ -173,7 +190,8 @@ class RunningSet
         return o < 0 || o >= x;
     }
 
-    /** @p item stops running: its links free up behind it. */
+    /** @p item stops running: its links free up behind it, and a later
+     *  restart opens a new slice. */
     void
     stop(int item)
     {
@@ -181,6 +199,9 @@ class RunningSet
         if (!it.running)
             return;
         it.running = false;
+        it.openSlice = -1;
+        running_[static_cast<std::size_t>(item) / 64] &=
+            ~(std::uint64_t{1} << (item % 64));
         for (int k = 0; k < it.numLinks; ++k) {
             int &o = owner_[static_cast<std::size_t>(it.slots[k])];
             if (o == item) {
@@ -199,8 +220,23 @@ class RunningSet
     std::vector<int> owner_;
     /** Per item: re-decision pending (kDecide) / link k freed (1 << k). */
     std::vector<unsigned char> marks_;
-    std::priority_queue<int, std::vector<int>, std::greater<>> queue_;
+    /** Items with a pending re-decision, as a bitmap. */
+    std::vector<std::uint64_t> pending_;
+    /** Items running now, as a bitmap. */
+    std::vector<std::uint64_t> running_;
 };
+
+/** Call @p fn(i) for every set bit i of @p bits, ascending. */
+template <typename Fn>
+void
+forEachBit(const std::vector<std::uint64_t> &bits, Fn &&fn)
+{
+    for (std::size_t w = 0; w < bits.size(); ++w) {
+        for (std::uint64_t word = bits[w]; word != 0; word &= word - 1)
+            fn(static_cast<int>(64 * w + static_cast<std::size_t>(
+                                             std::countr_zero(word))));
+    }
+}
 
 } // namespace
 
@@ -220,6 +256,12 @@ LinkSchedule::build(const std::vector<TransferStep> &steps,
     // earlier step's transfers immune to later steps at every grant.
     // ------------------------------------------------------------------
     std::vector<Item> items;
+    {
+        std::size_t n = 0;
+        for (const TransferStep &step : steps)
+            n += step.transfers.size() + step.coldLoads.size();
+        items.reserve(n);
+    }
     for (std::size_t s = 0; s < steps.size(); ++s) {
         for (std::size_t i = 0; i < steps[s].transfers.size(); ++i) {
             const Transfer &t = steps[s].transfers[i];
@@ -270,30 +312,45 @@ LinkSchedule::build(const std::vector<TransferStep> &steps,
         stepBegin[s + 1] += stepBegin[s];
 
     // Dense link table: every link an item uses or an external hold names
-    // gets a slot holding its external busy horizon.
-    std::map<LinkId, int> slotOf;
-    auto slot = [&slotOf](const LinkId &l) {
-        return slotOf.emplace(l, static_cast<int>(slotOf.size()))
-            .first->second;
+    // gets a slot, numbered in LinkId order, holding its external busy
+    // horizon.
+    std::vector<LinkId> links;
+    links.reserve(2 * items.size() + initial_busy.size());
+    for (const Item &it : items)
+        links.insert(links.end(), it.links, it.links + it.numLinks);
+    for (const auto &[link, until] : initial_busy)
+        links.push_back(link);
+    std::sort(links.begin(), links.end());
+    links.erase(std::unique(links.begin(), links.end()), links.end());
+    auto slot = [&links](const LinkId &l) {
+        return static_cast<int>(
+            std::lower_bound(links.begin(), links.end(), l) - links.begin());
     };
     for (Item &it : items) {
         for (int k = 0; k < it.numLinks; ++k)
             it.slots[k] = slot(it.links[k]);
     }
-    for (const auto &[link, until] : initial_busy)
-        slot(link);
     std::vector<double> externalUntil(
-        slotOf.size(), -std::numeric_limits<double>::infinity());
+        links.size(), -std::numeric_limits<double>::infinity());
     // External holds by release time: (until, slot), ascending.
     std::vector<std::pair<double, int>> releases;
     releases.reserve(initial_busy.size());
     for (const auto &[link, until] : initial_busy) {
-        const int sl = slotOf[link];
+        const int sl = slot(link);
         externalUntil[static_cast<std::size_t>(sl)] = until;
         releases.emplace_back(until, sl);
     }
     std::sort(releases.begin(), releases.end());
     std::size_t nextRelease = 0;
+
+    // Per-slot busy horizon after this schedule: the external hold, raised
+    // to the finish of every slice on the link.
+    std::vector<double> horizon(links.size(), 0.0);
+    std::vector<char> present(links.size(), 0);
+    for (const auto &[until, sl] : releases) {
+        horizon[static_cast<std::size_t>(sl)] = until;
+        present[static_cast<std::size_t>(sl)] = 1;
+    }
 
     // Serialized mode: the first step with wire items still pending.  A
     // step's wire items are eligible once every earlier step's wire items
@@ -309,7 +366,7 @@ LinkSchedule::build(const std::vector<TransferStep> &steps,
     // RunningSet keeps that outcome current between events.
     // ------------------------------------------------------------------
     double t = t0;
-    RunningSet runningSet(items, slotOf.size());
+    RunningSet runningSet(items, links.size());
     for (std::size_t i = 0; i < items.size(); ++i)
         runningSet.decide(static_cast<int>(i));
     auto held = [&](const Item &it) {
@@ -324,7 +381,8 @@ LinkSchedule::build(const std::vector<TransferStep> &steps,
         return false;
     };
     std::size_t unfinished = items.size();
-    std::vector<Item *> running, started;
+    out.slices.reserve(2 * items.size());
+    std::vector<int> finished;
     while (unfinished > 0) {
         // External holds released by now can no longer bound an event.
         while (nextRelease < releases.size() &&
@@ -342,23 +400,15 @@ LinkSchedule::build(const std::vector<TransferStep> &steps,
             }
         }
 
-        started.clear();
-        runningSet.settle(held, started);
-        // Preempted/blocked: an item that stopped closes its open slice.
-        std::erase_if(running, [](Item *it) {
-            if (it->running)
-                return false;
-            it->openSlice = -1;
-            return true;
-        });
-        running.insert(running.end(), started.begin(), started.end());
-        std::sort(running.begin(), running.end());
+        runningSet.settle(held);
+        const auto &running = runningSet.running();
 
         const double nextExternal =
             nextRelease < releases.size()
                 ? releases[nextRelease].first
                 : std::numeric_limits<double>::infinity();
-        if (running.empty()) {
+        if (std::all_of(running.begin(), running.end(),
+                        [](std::uint64_t w) { return w == 0; })) {
             // Everything pending is blocked on externally-busy links
             // (or, in serialized mode, on a barrier that resolves at a
             // completion — impossible without running items).  Hop to the
@@ -373,12 +423,16 @@ LinkSchedule::build(const std::vector<TransferStep> &steps,
         // earliest external link release (which may unblock a
         // higher-priority item and preempt a running one).
         double tNext = std::numeric_limits<double>::infinity();
-        for (const Item *it : running)
-            tNext = std::min(tNext, t + it->remaining / it->rate);
+        forEachBit(running, [&](int i) {
+            const Item &it = items[static_cast<std::size_t>(i)];
+            tNext = std::min(tNext, t + it.remaining / it.rate);
+        });
         tNext = std::min(tNext, nextExternal);
 
-        // Advance every running item to tNext, extending open slices.
-        for (Item *it : running) {
+        // Advance every running item to tNext (in priority order),
+        // extending open slices.
+        forEachBit(running, [&](int i) {
+            Item *it = &items[static_cast<std::size_t>(i)];
             if (it->firstStart < 0.0)
                 it->firstStart = t;
             if (it->openSlice >= 0 &&
@@ -402,6 +456,11 @@ LinkSchedule::build(const std::vector<TransferStep> &steps,
                 it->openSlice = static_cast<int>(out.slices.size());
                 out.slices.push_back(sl);
             }
+            for (int k = 0; k < it->numLinks; ++k) {
+                const auto x = static_cast<std::size_t>(it->slots[k]);
+                horizon[x] = std::max(horizon[x], tNext);
+                present[x] = 1;
+            }
             const double span = it->remaining / it->rate;
             if (t + span <= tNext + kEps * (1.0 + span)) {
                 // Completed at (numerically) this event.
@@ -412,16 +471,14 @@ LinkSchedule::build(const std::vector<TransferStep> &steps,
                 if (!it->coldLoad)
                     --wirePending[static_cast<std::size_t>(it->step)];
                 --unfinished;
+                finished.push_back(i);
             } else {
                 it->remaining -= (tNext - t) * it->rate;
             }
-        }
-        std::erase_if(running, [&runningSet, &items](Item *it) {
-            if (!it->done)
-                return false;
-            runningSet.finish(static_cast<int>(it - items.data()));
-            return true;
         });
+        for (int i : finished)
+            runningSet.finish(i);
+        finished.clear();
         t = tNext;
     }
 
@@ -468,12 +525,12 @@ LinkSchedule::build(const std::vector<TransferStep> &steps,
     for (double f : out.stepFinish)
         out.makespan = std::max(out.makespan, f);
 
-    out.linkBusyUntil = initial_busy;
-    for (const LinkSlice &sl : out.slices) {
-        for (int k = 0; k < sl.numLinks; ++k) {
-            double &until = out.linkBusyUntil[sl.links[k]];
-            until = std::max(until, sl.finish);
-        }
+    // Busy horizons left behind, in LinkId order: every link an external
+    // hold names or a slice used (its horizon was tracked per slot).
+    for (std::size_t x = 0; x < links.size(); ++x) {
+        if (present[x])
+            out.linkBusyUntil.emplace_hint(out.linkBusyUntil.end(), links[x],
+                                           horizon[x]);
     }
     return out;
 }

@@ -17,6 +17,49 @@ namespace {
 
 const cost::CostParams kParams = cost::CostParams::awsG4dn();
 
+/**
+ * Digest of a plan's decisions: byte accounting, the step order with each
+ * step's transfers and cold loads, the dependency sets and the timing.
+ */
+std::uint64_t
+planDigest(const MigrationPlan &plan)
+{
+    testing_support::Fnv1a h;
+    h.add(plan.reusedBytes);
+    h.add(plan.movedModelBytes);
+    h.add(plan.movedCacheBytes);
+    h.add(plan.coldLoadBytes);
+    h.add(plan.peakBufferBytes);
+    h.add(plan.cacheMigrated);
+    for (const auto &step : plan.steps) {
+        h.add(step.layer);
+        for (const auto &t : step.transfers) {
+            h.add(t.srcInstance);
+            h.add(t.dstInstance);
+            h.add(t.bytes);
+        }
+        for (const auto &[inst, bytes] : step.coldLoads) {
+            h.add(inst);
+            h.add(bytes);
+        }
+        h.add(step.startOffset);
+        h.add(step.finishOffset);
+    }
+    for (const auto &stages : plan.dpStepDeps) {
+        for (const auto &deps : stages) {
+            h.add(static_cast<int>(deps.size()));
+            for (int s : deps)
+                h.add(s);
+        }
+    }
+    h.add(plan.linkScheduled);
+    h.add(plan.serializedDuration);
+    h.add(plan.totalDuration);
+    for (double r : plan.pipelineResume)
+        h.add(r);
+    return h.value();
+}
+
 class PlannerFixture : public ::testing::Test
 {
   protected:
@@ -405,19 +448,32 @@ TEST_F(PlannerFixture, RetimeShiftsResumesWithStepFinishes)
         EXPECT_LE(plan.pipelineResume[d], plan.totalDuration + 1e-9);
 }
 
-TEST_F(PlannerFixture, PlanBothMatchesTwoSeparatePasses)
+TEST_F(PlannerFixture, OnDemandNoCachePlanMatchesSeparatePass)
 {
-    // planBoth must be byte-identical to invoking plan() twice with
-    // migrateCache toggled — it exists so beginReconfig stops paying a
-    // second full analysis pass when the arranger flips to recompute.
+    // When keep_cache declines the cache step, plan() assembles the
+    // no-cache plan from the same analysis pass.  It must be
+    // byte-identical to planning again with migrateCache off, and the
+    // with-cache plan keep_cache judged must be the one plan() returns
+    // when the cache is kept.
     par::ParallelConfig old_cfg{2, 2, 8, 8};
     par::ParallelConfig new_cfg{2, 3, 4, 8};
     makeInstances(8);
     const auto snap = packedSnapshot(old_cfg, 600.0);
     const auto mapping = mapper.map(snap, new_cfg, instances, {600.0, 600.0});
 
-    const auto pair =
-        planner.planBoth(snap, mapping, new_cfg, {600.0, 600.0});
+    MigrationPlan judged;
+    int calls = 0;
+    const auto flipped = planner.plan(
+        snap, mapping, new_cfg, {600.0, 600.0}, {},
+        [&](const MigrationPlan &with_cache) {
+            judged = with_cache;
+            ++calls;
+            return false;
+        });
+    const auto kept = planner.plan(snap, mapping, new_cfg, {600.0, 600.0},
+                                   {}, [](const MigrationPlan &) {
+                                       return true;
+                                   });
     const auto with = planner.plan(snap, mapping, new_cfg, {600.0, 600.0});
     PlannerOptions no_cache;
     no_cache.migrateCache = false;
@@ -444,54 +500,15 @@ TEST_F(PlannerFixture, PlanBothMatchesTwoSeparatePasses)
         for (std::size_t d = 0; d < a.pipelineResume.size(); ++d)
             EXPECT_DOUBLE_EQ(a.pipelineResume[d], b.pipelineResume[d]);
     };
-    expect_equal(pair.withCache, with);
-    expect_equal(pair.withoutCache, without);
-    EXPECT_TRUE(pair.withCache.cacheMigrated);
-    EXPECT_FALSE(pair.withoutCache.cacheMigrated);
-    EXPECT_DOUBLE_EQ(pair.withoutCache.movedCacheBytes, 0.0);
-}
-
-/**
- * Digest of a plan's decisions: byte accounting, the step order with each
- * step's transfers and cold loads, the dependency sets and the timing.
- */
-std::uint64_t
-planDigest(const MigrationPlan &plan)
-{
-    testing_support::Fnv1a h;
-    h.add(plan.reusedBytes);
-    h.add(plan.movedModelBytes);
-    h.add(plan.movedCacheBytes);
-    h.add(plan.coldLoadBytes);
-    h.add(plan.peakBufferBytes);
-    h.add(plan.cacheMigrated);
-    for (const auto &step : plan.steps) {
-        h.add(step.layer);
-        for (const auto &t : step.transfers) {
-            h.add(t.srcInstance);
-            h.add(t.dstInstance);
-            h.add(t.bytes);
-        }
-        for (const auto &[inst, bytes] : step.coldLoads) {
-            h.add(inst);
-            h.add(bytes);
-        }
-        h.add(step.startOffset);
-        h.add(step.finishOffset);
-    }
-    for (const auto &stages : plan.dpStepDeps) {
-        for (const auto &deps : stages) {
-            h.add(static_cast<int>(deps.size()));
-            for (int s : deps)
-                h.add(s);
-        }
-    }
-    h.add(plan.linkScheduled);
-    h.add(plan.serializedDuration);
-    h.add(plan.totalDuration);
-    for (double r : plan.pipelineResume)
-        h.add(r);
-    return h.value();
+    EXPECT_EQ(calls, 1);
+    expect_equal(judged, with);
+    expect_equal(kept, with);
+    expect_equal(flipped, without);
+    EXPECT_EQ(planDigest(kept), planDigest(with));
+    EXPECT_EQ(planDigest(flipped), planDigest(without));
+    EXPECT_TRUE(kept.cacheMigrated);
+    EXPECT_FALSE(flipped.cacheMigrated);
+    EXPECT_DOUBLE_EQ(flipped.movedCacheBytes, 0.0);
 }
 
 // Fleet-scale byte identity of the planner (see fleet_scale_scenario.h):
@@ -525,6 +542,81 @@ TEST(PlannerFleetScale, ShrinkPlanIsByteIdentical)
     EXPECT_GT(plan.movedModelBytes, 0.0);
     EXPECT_EQ(planDigest(plan), 0xa8e9b97daaa0ae0aull)
         << std::hex << planDigest(plan);
+}
+
+// Byte identity at the few-shot scenario's scale: GPT-20B on 12 four-GPU
+// instances whose daemons hold context from two configurations, so each
+// layer has holders in several shard-interval groups.  Instances 0-5 hold
+// (D=2, P=3, M=4) with in-flight cache on both replicas, instances 6-9 an
+// older (D=1, P=2, M=8), and instances 10-11 nothing.  The target
+// (D=3, P=2, M=8) uses all 12.  Both cache variants are pinned.
+TEST_F(PlannerFixture, FewshotScalePlanIsByteIdentical)
+{
+    const par::ParallelConfig cfg_a{2, 3, 4, 8};
+    const par::ParallelConfig cfg_b{1, 2, 8, 8};
+    const par::ParallelConfig target{3, 2, 8, 8};
+    const std::vector<double> tokens{900.0, 1400.0};
+    makeInstances(12);
+    engine::ContextSnapshot snap;
+    const par::Topology topo_a(cfg_a, spec.numLayers());
+    for (int i = 0; i < topo_a.size(); ++i) {
+        engine::GpuContext ctx;
+        ctx.gpu = i;
+        ctx.instance = i / 4;
+        ctx.hasModelContext = true;
+        ctx.config = cfg_a;
+        ctx.position = topo_a.position(i);
+        ctx.cacheTokens = tokens[static_cast<std::size_t>(ctx.position.d)];
+        snap.gpus.push_back(ctx);
+    }
+    const par::Topology topo_b(cfg_b, spec.numLayers());
+    for (int i = 0; i < topo_b.size(); ++i) {
+        engine::GpuContext ctx;
+        ctx.gpu = 24 + i;
+        ctx.instance = 6 + i / 4;
+        ctx.hasModelContext = true;
+        ctx.config = cfg_b;
+        ctx.position = topo_b.position(i);
+        snap.gpus.push_back(ctx);
+    }
+    for (int g = 40; g < 48; ++g) {
+        engine::GpuContext ctx;
+        ctx.gpu = g;
+        ctx.instance = g / 4;
+        snap.gpus.push_back(ctx);
+    }
+    const auto mapping = mapper.map(snap, target, instances, tokens);
+
+    const auto with = planner.plan(snap, mapping, target, tokens);
+    EXPECT_TRUE(with.cacheMigrated);
+    EXPECT_GT(with.movedModelBytes, 0.0);
+    EXPECT_GT(with.movedCacheBytes, 0.0);
+    EXPECT_EQ(planDigest(with), 0x24559a615df4b5f5ull)
+        << std::hex << planDigest(with);
+
+    PlannerOptions no_cache;
+    no_cache.migrateCache = false;
+    const auto without = planner.plan(snap, mapping, target, tokens, no_cache);
+    EXPECT_EQ(planDigest(without), 0xe8269ad759c8892eull)
+        << std::hex << planDigest(without);
+
+    // Instances 1 and 4 die with (D=2, P=3, M=4)'s stage 1 of both
+    // replicas: its layers now come only from the older M=8 holders.
+    engine::ContextSnapshot partial;
+    std::vector<const cluster::Instance *> survivors;
+    for (const auto &g : snap.gpus) {
+        if (g.instance != 1 && g.instance != 4)
+            partial.gpus.push_back(g);
+    }
+    for (const auto *inst : instances) {
+        if (inst->id() != 1 && inst->id() != 4)
+            survivors.push_back(inst);
+    }
+    const par::ParallelConfig smaller{2, 2, 10, 8};
+    const auto remapped = mapper.map(partial, smaller, survivors, tokens);
+    const auto rebuilt = planner.plan(partial, remapped, smaller, tokens);
+    EXPECT_EQ(planDigest(rebuilt), 0x942c21429af35a9bull)
+        << std::hex << planDigest(rebuilt);
 }
 
 } // namespace

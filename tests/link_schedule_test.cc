@@ -330,6 +330,143 @@ TEST_F(DataPlaneFixture, PreviewQuotesExactlyWhatSubmitCommits)
     EXPECT_EQ(plane.submissions(), 1);
 }
 
+/**
+ * A data plane and its executor, for comparing a committed quote against
+ * a fresh submission on an identical twin.
+ */
+struct PlaneTwin
+{
+    explicit PlaneTwin(const cost::CostParams &params) : plane(sim, params) {}
+
+    /** Advance the executor to @p t (fires everything due by then). */
+    void
+    advanceTo(double t)
+    {
+        sim.schedule(t, [] {});
+        sim.run(t);
+    }
+
+    sim::Simulation sim;
+    core::TransferDataPlane plane;
+};
+
+/** Bit-for-bit equality of two submissions and the state they leave. */
+void
+expectSameCommit(const core::TransferDataPlane::Result &a,
+                 const core::TransferDataPlane::Result &b,
+                 const PlaneTwin &pa, const PlaneTwin &pb)
+{
+    EXPECT_EQ(a.stepStart, b.stepStart);
+    EXPECT_EQ(a.stepFinish, b.stepFinish);
+    EXPECT_EQ(a.makespan, b.makespan);
+    EXPECT_EQ(a.contended, b.contended);
+    EXPECT_EQ(a.planId, b.planId);
+    EXPECT_EQ(pa.plane.submissions(), pb.plane.submissions());
+    EXPECT_EQ(pa.plane.inFlightCount(), pb.plane.inFlightCount());
+    for (int inst = 0; inst < 6; ++inst) {
+        for (LinkType type : {LinkType::NicSend, LinkType::NicRecv,
+                              LinkType::Pcie, LinkType::Disk}) {
+            EXPECT_EQ(pa.plane.busyUntil(type, inst),
+                      pb.plane.busyUntil(type, inst))
+                << "link type " << static_cast<int>(type) << " instance "
+                << inst;
+        }
+    }
+}
+
+// An earlier migration still holds links 0->1 and 2->3 when the next one
+// is quoted; both planes see the same history.
+const std::vector<TransferStep> kEarlier = {
+    wireStep(0, {{0, 1, 20.0e9}, {2, 3, 10.0e9}})};
+const std::vector<TransferStep> kNext = {
+    wireStep(0, {{0, 1, 1.0e9}, {1, 2, 1.0e9}}),
+    wireStep(1, {{3, 4, 2.0e9}})};
+
+TEST_F(DataPlaneFixture, CommittedQuoteMatchesFreshSubmitOnTwin)
+{
+    PlaneTwin quoted(params);
+    PlaneTwin fresh(params);
+    for (PlaneTwin *p : {&quoted, &fresh}) {
+        p->plane.submit(kEarlier, params.migrationSetupTime, true);
+        p->advanceTo(1.0);
+    }
+    const auto quote =
+        quoted.plane.preview(kNext, params.migrationSetupTime, true);
+    EXPECT_TRUE(quote.contended);
+    const auto committed = quoted.plane.submit(quote, {});
+    const auto direct = fresh.plane.submit(
+        kNext, params.migrationSetupTime, true,
+        core::TransferDataPlane::SubmitOptions{});
+    expectSameCommit(committed, direct, quoted, fresh);
+    // The commit is the quoted timeline itself.
+    EXPECT_EQ(committed.stepStart, quote.stepStart);
+    EXPECT_EQ(committed.stepFinish, quote.stepFinish);
+    EXPECT_EQ(committed.makespan, quote.makespan);
+}
+
+TEST_F(DataPlaneFixture, BusyStateChangeAfterPreviewForcesRebuild)
+{
+    // Each change moves the link state the quote was built on: a blackout
+    // on a link only the new plan uses, a straggler stretching the earlier
+    // plan, that plan dying or being cancelled, another submission, and
+    // time passing.
+    enum class Change
+    {
+        Stall,
+        Degrade,
+        FailInstance,
+        CancelPlan,
+        Submit,
+        TimeAdvance
+    };
+    for (Change change :
+         {Change::Stall, Change::Degrade, Change::FailInstance,
+          Change::CancelPlan, Change::Submit, Change::TimeAdvance}) {
+        SCOPED_TRACE(static_cast<int>(change));
+        PlaneTwin quoted(params);
+        PlaneTwin fresh(params);
+        core::TransferDataPlane::PlanId earlier = -1;
+        for (PlaneTwin *p : {&quoted, &fresh}) {
+            earlier = p->plane
+                          .submit(kEarlier, params.migrationSetupTime, true)
+                          .planId;
+            p->advanceTo(1.0);
+        }
+        const auto quote =
+            quoted.plane.preview(kNext, params.migrationSetupTime, true);
+        for (PlaneTwin *p : {&quoted, &fresh}) {
+            switch (change) {
+            case Change::Stall:
+                p->plane.stallInstanceLinks(4, 5.0);
+                break;
+            case Change::Degrade:
+                p->plane.degradeInstanceLinks(0, 0.5);
+                break;
+            case Change::FailInstance:
+                ASSERT_EQ(p->plane.failInstance(2), 1);
+                break;
+            case Change::CancelPlan:
+                ASSERT_TRUE(p->plane.cancelPlan(earlier));
+                break;
+            case Change::Submit:
+                p->plane.submit({wireStep(0, {{5, 4, 1.0e9}})},
+                                params.migrationSetupTime, true);
+                break;
+            case Change::TimeAdvance:
+                p->advanceTo(1.5);
+                break;
+            }
+        }
+        const auto committed = quoted.plane.submit(quote, {});
+        const auto direct = fresh.plane.submit(
+            kNext, params.migrationSetupTime, true,
+            core::TransferDataPlane::SubmitOptions{});
+        expectSameCommit(committed, direct, quoted, fresh);
+        // The stale quote would have been wrong under the new state.
+        EXPECT_NE(committed.stepFinish, quote.stepFinish);
+    }
+}
+
 TEST_F(DataPlaneFixture, SecondMigrationContendsForSharedLinks)
 {
     std::vector<TransferStep> steps = {
