@@ -21,15 +21,14 @@ ReroutingSystem::ReroutingSystem(sim::Executor &executor,
 {
 }
 
-long
-ReroutingSystem::bestPrefixDiscount(const engine::ActiveRequest &head) const
+void
+ReroutingSystem::forEachPipeline(
+    const std::function<void(engine::InferencePipeline &)> &fn) const
 {
-    long best = 0;
     for (const auto &s : slots_) {
         if (s->pipeline)
-            best = std::max(best, s->pipeline->prefixQuoteBlocks(head));
+            fn(*s->pipeline);
     }
-    return best;
 }
 
 std::string

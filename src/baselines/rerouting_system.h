@@ -76,8 +76,9 @@ class ReroutingSystem : public serving::BaseServingSystem
     void handleArrival(const wl::Request &request) override;
     void dispatchPending() override { dispatchSlots(); }
     /** Rerouting keeps its pipelines in slots, not the deployment. */
-    long bestPrefixDiscount(
-        const engine::ActiveRequest &head) const override;
+    void forEachPipeline(
+        const std::function<void(engine::InferencePipeline &)> &fn)
+        const override;
 
   private:
     /** One independent inference pipeline over whole instances. */

@@ -129,6 +129,14 @@ struct ActiveRequest
     int kvPromoteCursor = 0;
 
     /**
+     * The store's cachedReclaims() when this request's blocks were last
+     * synced.  A reclaim since then may have erased the key that kept one
+     * of its levels (or its tail) unpublished, so the store commits its
+     * next token rather than skipping it.  Engine-internal.
+     */
+    long kvReclaimStamp = 0;
+
+    /**
      * Physical KV block ids this request holds references on, one per
      * block level (level k covers tokens [k*B, (k+1)*B)), owned by the
      * pipeline's KvBlockStore.  Empty when the pipeline runs without

@@ -1,6 +1,7 @@
 #include "engine/inference_pipeline.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -41,7 +42,8 @@ InferencePipeline::InferencePipeline(sim::Executor &executor,
                                      int index, Callbacks callbacks,
                                      BatchingOptions batching)
     : sim_(executor), latency_(latency), config_(config), index_(index),
-      callbacks_(std::move(callbacks)), batching_(batching)
+      callbacks_(std::move(callbacks)), batching_(batching),
+      ordered_(executor.supportsOrderKeys())
 {
     if (batching_.kvBudgetTokens <= 0)
         throw std::invalid_argument(
@@ -96,6 +98,7 @@ InferencePipeline::~InferencePipeline()
 {
     if (pendingEvent_ != sim::kInvalidEventId)
         sim_.cancel(pendingEvent_);
+    dropEndEvent();
 }
 
 void
@@ -118,6 +121,7 @@ InferencePipeline::startBatch(std::vector<ActiveRequest> batch)
     }
 
     batch_ = std::move(batch);
+    orderKey_ = sim::kFreshOrderKey;
     // Committed tokens imply the KV cache of the prior tokens survived
     // (stateful recovery, §4): such requests resume decoding directly;
     // partially-prefilled ones resume from their last committed chunk and
@@ -161,6 +165,7 @@ InferencePipeline::freeSlots() const
 long
 InferencePipeline::kvTokensHeld() const
 {
+    settle();
     long held = 0;
     for (const auto &r : batch_)
         held += r.kvTokensHeld();
@@ -170,6 +175,7 @@ InferencePipeline::kvTokensHeld() const
 long
 InferencePipeline::kvTokensReserved() const
 {
+    settle();
     long reserved = 0;
     for (const auto &r : batch_)
         reserved += r.kvPeakTokens();
@@ -179,6 +185,7 @@ InferencePipeline::kvTokensReserved() const
 long
 InferencePipeline::kvTokensCharged() const
 {
+    settle();
     long charged = 0;
     for (const auto &r : batch_)
         charged += r.kvChargedTokens(batching_.kvAdmissionMode);
@@ -188,6 +195,7 @@ InferencePipeline::kvTokensCharged() const
 long
 InferencePipeline::kvBlocksHeld() const
 {
+    settle();
     long held = 0;
     for (const auto &r : batch_)
         held += r.kvBlocksHeld(batching_.kvBlockTokens);
@@ -197,6 +205,7 @@ InferencePipeline::kvBlocksHeld() const
 long
 InferencePipeline::kvBlocksReserved() const
 {
+    settle();
     const int blk = batching_.kvBlockTokens;
     if (store_) {
         // Physical form: resident live blocks (shared levels counted
@@ -217,6 +226,7 @@ InferencePipeline::kvBlocksReserved() const
 long
 InferencePipeline::kvBlocksCharged() const
 {
+    settle();
     const int blk = batching_.kvBlockTokens;
     if (store_) {
         long charged = store_->liveBlocks();
@@ -234,6 +244,7 @@ InferencePipeline::kvBlocksCharged() const
 long
 InferencePipeline::freeKvBlocks() const
 {
+    settle();
     if (budgetBlocks_ == kUnboundedKvBlocks)
         return kUnboundedKvBlocks;
     return std::max(0L, budgetBlocks_ - kvBlocksCharged());
@@ -269,6 +280,7 @@ InferencePipeline::haltAfter(int iterations)
 {
     if (iterations < 0)
         throw std::invalid_argument("InferencePipeline::haltAfter: negative");
+    settle();
     if (phase_ == PipelinePhase::Halted)
         return;
     haltPending_ = true;
@@ -277,6 +289,8 @@ InferencePipeline::haltAfter(int iterations)
         enterHalted();
         return;
     }
+    // The drain counts boundaries one by one from the in-flight one on.
+    cutStride();
     // During prefill with 0 allowed iterations we still let the prefill
     // boundary fire (it commits nothing) and halt there.
 }
@@ -284,12 +298,18 @@ InferencePipeline::haltAfter(int iterations)
 void
 InferencePipeline::haltNow()
 {
+    settle();
     if (phase_ == PipelinePhase::Halted)
         return;
     if (pendingEvent_ != sim::kInvalidEventId) {
         sim_.cancel(pendingEvent_);
         pendingEvent_ = sim::kInvalidEventId;
     }
+    // The in-flight iteration is dropped with the rest of the stride.
+    dropEndEvent();
+    strideEnds_.clear();
+    strideDone_ = 0;
+    strideStop_ = 0;
     haltPending_ = true;
     allowedIters_ = 0;
     enterHalted();
@@ -298,6 +318,7 @@ InferencePipeline::haltNow()
 std::vector<ActiveRequest>
 InferencePipeline::takeBatch()
 {
+    settle();
     if (executing())
         throw std::logic_error(
             "InferencePipeline::takeBatch: pipeline still executing");
@@ -318,28 +339,34 @@ InferencePipeline::executing() const
     return phase_ == PipelinePhase::Prefill || phase_ == PipelinePhase::Decode;
 }
 
-void
-InferencePipeline::enforceKvPressure()
+bool
+InferencePipeline::kvPressureCanBind() const
 {
-    deferPrefill_ = false;
     if (batching_.kvAdmissionMode != KvAdmissionMode::Optimistic ||
-        batching_.kvBudgetTokens == kUnboundedKvTokens || batch_.empty())
-        return;
+        batching_.kvBudgetTokens == kUnboundedKvTokens)
+        return false;
     // A fully-covered batch (every member charged its worst case) cannot
     // overflow: admission bounded the sum of peak blocks by the block
     // budget.  This keeps Reserve-equivalent workloads — cold predictor,
     // or outputs that run to their cap — on the exact Reserve schedule.
+    // Coverage only grows as tokens commit (the optimistic charge never
+    // falls below the committed progress), so it holds for a stride.
     const int blk = batching_.kvBlockTokens;
-    bool under_covered = false;
     for (const auto &r : batch_) {
         if (r.kvChargedBlocks(KvAdmissionMode::Optimistic, blk) <
-            r.kvPeakBlocks(blk)) {
-            under_covered = true;
-            break;
-        }
+            r.kvPeakBlocks(blk))
+            return true;
     }
-    if (!under_covered)
+    return false;
+}
+
+void
+InferencePipeline::enforceKvPressure()
+{
+    deferPrefill_ = false;
+    if (batch_.empty() || !kvPressureCanBind())
         return;
+    const int blk = batching_.kvBlockTokens;
 
     const long budget = budgetBlocks_;
     const long high = batching_.kvHighWatermarkBlocks;
@@ -525,6 +552,7 @@ InferencePipeline::enforceKvPressure()
                 survivors.push_back(std::move(batch_[i]));
         }
         batch_ = std::move(survivors);
+        orderKey_ = sim::kFreshOrderKey;
         evictions_ += static_cast<long>(evicted.size());
         if (store_) {
             // Drop the victims' references now, before the final yield
@@ -557,6 +585,7 @@ InferencePipeline::scheduleStep()
         if (haltPending_) {
             enterHalted();
         } else {
+            dropEndEvent();
             phase_ = PipelinePhase::Idle;
             if (callbacks_.onIdle)
                 callbacks_.onIdle(*this);
@@ -597,20 +626,195 @@ InferencePipeline::scheduleStep()
     }
     stepRanPrefill_ = prefillers > 0;
     phase_ = prefillers > 0 ? PipelinePhase::Prefill : PipelinePhase::Decode;
-    scheduleBoundary(latency_.mixedIterTime(config_, prefillers, max_chunk,
-                                            max_prefix, decoders, max_ctx));
+    const long k = strideLength(prefillers);
+    const std::size_t planned = strideEnds_.size() - strideDone_;
+    if (orderKey_ == sim::kFreshOrderKey ||
+        static_cast<std::size_t>(k) > planned) {
+        // Plan the stride: iteration i runs at context max_ctx + i, and
+        // each end time is the previous one plus that iteration's
+        // mixedIterTime (decode only after the first: 0 + decodeIterTime),
+        // the same sums as planning one iteration at a time.  Unless the
+        // batch changed, the ends planned before a cut stay valid and
+        // are reused instead.
+        dropEndEvent();
+        strideEnds_.clear();
+        strideDone_ = 0;
+        strideStart_ = sim_.now();
+        sim::SimTime end =
+            sim_.now() + latency_.mixedIterTime(config_, prefillers,
+                                                max_chunk, max_prefix,
+                                                decoders, max_ctx);
+        strideEnds_.push_back(end);
+        if (k > 1) {
+            par::ParallelConfig decode = config_;
+            decode.batch = decoders;
+            const auto steps = latency_.decodeSteps(decode);
+            for (long i = 1; i < k; ++i) {
+                end += steps.at(max_ctx + static_cast<int>(i));
+                strideEnds_.push_back(end);
+            }
+        }
+    }
+    strideStop_ = strideDone_ + static_cast<std::size_t>(k) - 1;
+    if (strideStop_ + 1 == strideEnds_.size() &&
+        endEvent_ != sim::kInvalidEventId) {
+        // Resume the cut stride: its event is still in place.
+        pendingEvent_ = std::exchange(endEvent_, sim::kInvalidEventId);
+        return;
+    }
+    scheduleStrideEnd();
 }
 
 void
-InferencePipeline::scheduleBoundary(double delay)
+InferencePipeline::dropEndEvent()
 {
-    pendingEvent_ = sim_.scheduleAfter(delay, [this] { onBoundary(); });
+    if (endEvent_ != sim::kInvalidEventId)
+        sim_.cancel(std::exchange(endEvent_, sim::kInvalidEventId));
+}
+
+long
+InferencePipeline::strideLength(int prefillers) const
+{
+    if (!ordered_ || prefillers > 0 || haltPending_ || kvPressureCanBind())
+        return 1;
+    const bool every_iteration = callbacks_.everyIteration
+                                     ? callbacks_.everyIteration()
+                                     : static_cast<bool>(callbacks_.onToken);
+    if (every_iteration)
+        return 1;
+    if (freeSlots() > 0 && callbacks_.onAdmit &&
+        (!callbacks_.workQueued || callbacks_.workQueued()))
+        return 1;
+    // The batch is next free to change at its first completion.
+    long k = std::numeric_limits<long>::max();
+    for (const auto &r : batch_) {
+        if (!r.prefilled)
+            return 1; // a frozen prefiller resumes at a later boundary
+        k = std::min<long>(k, r.request.outputLen - r.committedTokens);
+    }
+    return k;
+}
+
+sim::SimTime
+InferencePipeline::strideAfter(std::size_t i) const
+{
+    return i == 0 ? strideStart_ : strideEnds_[i - 1];
+}
+
+void
+InferencePipeline::scheduleStrideEnd()
+{
+    // Ordered as if scheduled when the iteration before it ended.
+    const sim::SimTime end = strideEnds_[strideStop_];
+    auto fire = [this] { onBoundary(); };
+    pendingEvent_ =
+        ordered_ ? sim_.scheduleOrdered(end, strideAfter(strideStop_),
+                                        orderKey_, fire)
+                 : sim_.schedule(end, fire);
+}
+
+void
+InferencePipeline::cutStride()
+{
+    settle();
+    if (strideDone_ >= strideStop_)
+        return;
+    // Park the event at the stride's planned end rather than cancel it:
+    // if the batch is unchanged at the cut, the stride resumes with it.
+    if (strideStop_ + 1 == strideEnds_.size())
+        endEvent_ = pendingEvent_;
+    else
+        sim_.cancel(pendingEvent_);
+    strideStop_ = strideDone_;
+    scheduleStrideEnd();
+}
+
+void
+InferencePipeline::commitElapsed()
+{
+    // A boundary precedes the firing event when it is earlier, or at the
+    // same time in a smaller EventOrder, as its own event would have
+    // been.  The stride's last boundary is its event's to run.
+    const sim::SimTime now = sim_.now();
+    if (strideEnds_[strideDone_] > now)
+        return;
+    const sim::EventOrder firing = sim_.firingOrder();
+    std::size_t m = strideDone_;
+    while (m < strideStop_ &&
+           (strideEnds_[m] < now ||
+            (strideEnds_[m] == now &&
+             sim::EventOrder{strideAfter(m), orderKey_} < firing)))
+        ++m;
+    commitIterations(m - strideDone_);
+}
+
+void
+InferencePipeline::commitIterations(std::size_t n)
+{
+    if (n == 0)
+        return;
+    // Plain decode boundaries: every member commits one token each, none
+    // completes, nothing is admitted (queue empty or batch full) and the
+    // KV-pressure check returns early (the batch is fully covered).
+    const long steps = static_cast<long>(n);
+    if (store_) {
+        advanceStore(steps);
+    } else {
+        for (auto &r : batch_)
+            r.committedTokens += static_cast<int>(steps);
+    }
+    itersExecuted_ += steps;
+    tokensCommitted_ += steps * static_cast<long>(batch_.size());
+    strideDone_ += n;
+    observeBoundary();
+}
+
+void
+InferencePipeline::advanceStore(long n)
+{
+    // Single boundaries commit iteration-major, members in batch order
+    // within an iteration; block ids and the LRU clock depend on that
+    // order.  Visit (iteration, member) pairs in the same order but only
+    // where the store has work; workAt_ holds each member's next.
+    const std::size_t size = batch_.size();
+    workAt_.resize(size);
+    synced_.assign(size, 0);
+    for (std::size_t j = 0; j < size; ++j)
+        workAt_[j] = store_->tokensUntilWork(batch_[j]);
+    long reclaims = store_->cachedReclaims();
+    while (true) {
+        const long it = *std::min_element(workAt_.begin(), workAt_.end());
+        if (it > n)
+            break;
+        for (std::size_t j = 0; j < size; ++j) {
+            if (workAt_[j] != it)
+                continue;
+            ActiveRequest &r = batch_[j];
+            r.committedTokens += static_cast<int>(it - synced_[j]);
+            store_->commitProgress(r, it - synced_[j]);
+            synced_[j] = it;
+            workAt_[j] = it + store_->tokensUntilWork(r);
+            if (store_->cachedReclaims() == reclaims)
+                continue;
+            // A reclaim may unblock anyone's promotion or tail: members
+            // after this one commit this token, the rest the next.
+            reclaims = store_->cachedReclaims();
+            for (std::size_t o = 0; o < size; ++o)
+                workAt_[o] = std::min(workAt_[o], o > j ? it : it + 1);
+        }
+    }
+    for (std::size_t j = 0; j < size; ++j)
+        batch_[j].committedTokens += static_cast<int>(n - synced_[j]);
 }
 
 void
 InferencePipeline::onBoundary()
 {
     pendingEvent_ = sim::kInvalidEventId;
+    // A stride's earlier boundaries are plain decode boundaries; this
+    // event runs its last one in full.
+    commitIterations(strideStop_ - strideDone_);
+    strideDone_ = strideStop_ + 1;
 
     // Requests already prefilled when the elapsed step began were
     // decoding: each commits one token.  The rest committed one prefill
@@ -628,6 +832,8 @@ InferencePipeline::onBoundary()
             r.prefilled = r.prefillTokens >= r.request.inputLen;
         }
     }
+    if (stepRanPrefill_)
+        orderKey_ = sim::kFreshOrderKey;
     if (decoded > 0) {
         ++itersExecuted_;
         tokensCommitted_ += decoded;
@@ -655,6 +861,7 @@ InferencePipeline::onBoundary()
             callbacks_.onRequestComplete(r);
     }
     if (any_done) {
+        orderKey_ = sim::kFreshOrderKey;
         batch_.erase(std::remove_if(batch_.begin(), batch_.end(),
                                     [](const ActiveRequest &r) {
                                         return r.done();
@@ -690,6 +897,7 @@ InferencePipeline::onBoundary()
     observeBoundary();
 
     if (batch_.empty()) {
+        dropEndEvent();
         phase_ = PipelinePhase::Idle;
         if (callbacks_.onIdle)
             callbacks_.onIdle(*this);
@@ -721,6 +929,7 @@ InferencePipeline::admitNewWork()
         batch_.push_back(std::move(r));
         ++admittedMidBatch_;
     }
+    orderKey_ = sim::kFreshOrderKey;
     if (kvBlocksCharged() > budgetBlocks_)
         throw std::logic_error(
             "InferencePipeline::onAdmit overflowed the KV budget");
@@ -729,6 +938,7 @@ InferencePipeline::admitNewWork()
 void
 InferencePipeline::enterHalted()
 {
+    dropEndEvent();
     phase_ = PipelinePhase::Halted;
     if (callbacks_.onHalted)
         callbacks_.onHalted(*this);

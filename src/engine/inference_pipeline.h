@@ -15,6 +15,35 @@
  * halting (run at most S_t more iterations, then drain) and immediate
  * suspension, both preserving committed token progress (§4.1) — a drained
  * batch may therefore carry mixed per-request progress.
+ *
+ * Strides.  Modelled time advances one iteration at a time, but on an
+ * executor with order keys (sim::Executor::supportsOrderKeys) the host
+ * does not pay one event per iteration.  When the pipeline plans a step
+ * over a batch that nothing can change before its first completion, it
+ * plans a stride of k iterations at once and schedules one event at the
+ * end of the k-th: k is the fewest output tokens any member has left,
+ * and the stride needs every member decoding, no halt pending, a batch
+ * whose KV charge already covers its worst case (no eviction can
+ * trigger), no admission possible (queue empty or batch full), and no
+ * consumer of every iteration (Callbacks::everyIteration).  Otherwise
+ * k = 1.  Iteration i of a stride ends at t_{i-1} plus its own
+ * mixedIterTime, the sums a run of one-iteration steps forms, so every
+ * boundary keeps its time.  The stride's event is ordered among
+ * same-time events as if scheduled when the iteration before it ended
+ * (sim::EventOrder); a tie on that time too falls to the order key the
+ * pipeline drew at its last batch change (start, admission, completion,
+ * eviction, prefill progress).
+ *
+ * Settle on access.  The iterations inside a stride are committed
+ * lazily: every public entry that reads or changes batch state first
+ * commits those whose boundary precedes the event now firing in
+ * (time, EventOrder) order — after run(until) returns, every boundary
+ * at or before now().  Committing advances each member's tokens and KV
+ * blocks as boundaries run one per event would, in the same order, so
+ * every read sees the same state.  haltNow() drops the in-flight
+ * iteration as before; haltAfter() and cutStride() end the stride at the
+ * next boundary, which then runs in full (admission, drain accounting)
+ * and plans anew.
  */
 
 #ifndef SPOTSERVE_ENGINE_INFERENCE_PIPELINE_H
@@ -128,9 +157,26 @@ class InferencePipeline
          * A request committed one output token (fired per decoding
          * request at each iteration boundary, before the completion
          * check).  A live ingress streams tokens to clients from here;
-         * simulated experiments leave it unset.
+         * simulated experiments leave it unset.  Fired only while the
+         * pipeline runs one iteration per event (see everyIteration).
          */
         std::function<void(const ActiveRequest &)> onToken;
+        /**
+         * Queried when a step is planned: true while some consumer must
+         * see every iteration as its own event — onToken timestamps
+         * each token, a per-boundary observer samples each boundary.
+         * The pipeline then plans strides of one iteration.  Unset:
+         * true exactly when onToken is set.
+         */
+        std::function<bool()> everyIteration;
+        /**
+         * Queried when a step is planned while the batch has a free
+         * slot: true when onAdmit could return work at the next
+         * boundary.  Unset: true whenever onAdmit is set.  An owner
+         * that answers false must call cutStride() when work is queued
+         * later, so the next boundary admits it.
+         */
+        std::function<bool()> workQueued;
         /** The whole batch completed; the pipeline is Idle again. */
         std::function<void(InferencePipeline &)> onIdle;
         /** haltAfter() drained; the pipeline is Halted with its batch. */
@@ -147,10 +193,16 @@ class InferencePipeline
                                                  int free_slots)>
             onAdmit;
         /**
-         * Observer fired after every iteration boundary (and batch start)
-         * with the post-boundary batch state, before the next step is
-         * scheduled.  KV-accounting invariants (tests) and peak-memory
-         * statistics hang off this.
+         * Observer of the post-boundary batch state: fired at batch
+         * start, at every boundary that runs as its own event (before
+         * the next step is scheduled), and once for each run of stride
+         * iterations committed together, with the state after the last
+         * of them.  Within a stride the batch keeps its members and
+         * no held or reserved KV count falls, so a maximum tracked here
+         * equals the one over every boundary.  KV-
+         * accounting invariants (tests) and peak-memory statistics hang
+         * off this; a consumer that needs each boundary sets
+         * everyIteration.
          */
         std::function<void(const InferencePipeline &)> onBoundary;
         /**
@@ -206,6 +258,28 @@ class InferencePipeline
     /** Remove and return the loaded batch. @pre Halted or Idle. */
     std::vector<ActiveRequest> takeBatch();
 
+    /**
+     * End the planned stride at its next boundary, which then runs in
+     * full and plans again with the callbacks' current answers.  The
+     * owner calls this when work is queued that the batch could admit,
+     * or when it attaches an observer of every iteration.
+     */
+    void cutStride();
+
+    /**
+     * Commit the stride iterations whose boundary precedes the firing
+     * event (after run(until): every boundary at or before now()).
+     * Every public entry does this first; an owner calls it directly
+     * before reading what the onBoundary observer accumulated.  Const
+     * because it changes no observable state: it only brings forward
+     * what every read would commit anyway.
+     */
+    void settle() const
+    {
+        if (strideDone_ < strideStop_)
+            const_cast<InferencePipeline *>(this)->commitElapsed();
+    }
+
     PipelinePhase phase() const { return phase_; }
     bool idle() const { return phase_ == PipelinePhase::Idle; }
     bool halted() const { return phase_ == PipelinePhase::Halted; }
@@ -213,7 +287,11 @@ class InferencePipeline
     /** True once a halt has been requested (pipeline won't take work). */
     bool haltPending() const { return haltPending_; }
 
-    const std::vector<ActiveRequest> &batch() const { return batch_; }
+    const std::vector<ActiveRequest> &batch() const
+    {
+        settle();
+        return batch_;
+    }
     /** Free batch slots (config batch size minus live requests). */
     int freeSlots() const;
     int index() const { return index_; }
@@ -270,25 +348,49 @@ class InferencePipeline
     long freeKvTokens() const;
 
     /** Decode iterations executed over this pipeline's lifetime. */
-    long iterationsExecuted() const { return itersExecuted_; }
+    long iterationsExecuted() const
+    {
+        settle();
+        return itersExecuted_;
+    }
     /** Output tokens committed over this pipeline's lifetime. */
-    long tokensCommitted() const { return tokensCommitted_; }
+    long tokensCommitted() const
+    {
+        settle();
+        return tokensCommitted_;
+    }
     /** Requests admitted at iteration boundaries (continuous batching). */
-    long admittedMidBatch() const { return admittedMidBatch_; }
+    long admittedMidBatch() const
+    {
+        settle();
+        return admittedMidBatch_;
+    }
     /** Requests evicted to keep the held KV under the budget.  The lost
      *  work is costed by the onEvict receiver (LatencyModel::
      *  recomputeTime — the victims' progress is intact at callback
      *  time), keeping eviction costing single-source at the serving
      *  layer. */
-    long evictionsPerformed() const { return evictions_; }
+    long evictionsPerformed() const
+    {
+        settle();
+        return evictions_;
+    }
     /** Steps in which prefill chunks yielded to decode (watermark). */
-    long prefillYields() const { return prefillYields_; }
+    long prefillYields() const
+    {
+        settle();
+        return prefillYields_;
+    }
 
     /**
      * The prefix-sharing block store (nullptr when prefixSharing is off
      * and the scalar counters remain the source of truth).
      */
-    const KvBlockStore *kvStore() const { return store_.get(); }
+    const KvBlockStore *kvStore() const
+    {
+        settle();
+        return store_.get();
+    }
 
     /**
      * Admission quote: matched-and-live shared prefix blocks the given
@@ -298,6 +400,7 @@ class InferencePipeline
      */
     long prefixQuoteBlocks(const ActiveRequest &r) const
     {
+        settle();
         return store_ ? store_->quoteSharedBlocks(r) : 0;
     }
 
@@ -308,6 +411,7 @@ class InferencePipeline
      */
     long kvPhysicalBlocksHeld() const
     {
+        settle();
         return store_ ? store_->liveBlocks() : kvBlocksHeld();
     }
 
@@ -318,6 +422,7 @@ class InferencePipeline
      */
     long kvTokensHeldPhysical() const
     {
+        settle();
         if (!store_)
             return kvTokensHeld();
         return std::min(kvTokensHeld(),
@@ -326,23 +431,56 @@ class InferencePipeline
     }
 
     /** Attaches that matched prefix tokens from the store's index. */
-    long prefixHits() const { return store_ ? store_->prefixHits() : 0; }
+    long prefixHits() const
+    {
+        settle();
+        return store_ ? store_->prefixHits() : 0;
+    }
     /** Prefix tokens whose prefill compute was skipped, total. */
     long prefixMatchedTokens() const
     {
+        settle();
         return store_ ? store_->prefixMatchedTokens() : 0;
     }
     /** Copy-on-write block copies performed on divergence. */
-    long cowCopies() const { return store_ ? store_->cowCopies() : 0; }
+    long cowCopies() const
+    {
+        settle();
+        return store_ ? store_->cowCopies() : 0;
+    }
     /** Prefill seconds skipped thanks to prefix hits (LatencyModel-
      *  costed diagnostic). */
-    double savedPrefillSeconds() const { return savedPrefillSeconds_; }
+    double savedPrefillSeconds() const
+    {
+        settle();
+        return savedPrefillSeconds_;
+    }
 
   private:
-    /** Size, cost and schedule the next iteration over the live batch. */
+    /** Size, cost and schedule the next iteration (or stride) over the
+     *  live batch. */
     void scheduleStep();
-    void scheduleBoundary(double delay);
+    /** Iterations the next step may run as one stride (>= 1). */
+    long strideLength(int prefillers) const;
+    /** Schedule the event at iteration strideStop_'s end. */
+    void scheduleStrideEnd();
+    /** When one-iteration steps would have scheduled iteration @p i's
+     *  end: the end of the iteration before, or the stride's start. */
+    sim::SimTime strideAfter(std::size_t i) const;
+    /** Cancel the parked event of a cut stride, if any. */
+    void dropEndEvent();
     void onBoundary();
+    /** settle(): commit the stride boundaries preceding the firing event. */
+    void commitElapsed();
+    /** Commit @p n plain decode boundaries of the stride. */
+    void commitIterations(std::size_t n);
+    /** Advance the store over @p n decode tokens of every member, in the
+     *  order single boundaries commit them, visiting only tokens where
+     *  it has work. */
+    void advanceStore(long n);
+    /** Optimistic, bounded, and some member charged below its worst
+     *  case: a later boundary may have to evict or yield. */
+    bool kvPressureCanBind() const;
     /** Pull new work into the free slots through onAdmit. */
     void admitNewWork();
     void enterHalted();
@@ -384,6 +522,30 @@ class InferencePipeline
     PipelinePhase phase_ = PipelinePhase::Idle;
     std::vector<ActiveRequest> batch_;
     sim::EventId pendingEvent_ = sim::kInvalidEventId;
+
+    /** The executor supports order keys: strides are possible. */
+    bool ordered_;
+    /** Same-time key of this pipeline's events; kFreshOrderKey until the
+     *  next schedule draws one (after every batch change). */
+    sim::OrderKey orderKey_ = sim::kFreshOrderKey;
+    /** End time of each planned stride iteration.  A cut stride keeps
+     *  the ends past the cut: while the batch is unchanged the next
+     *  stride reuses them. */
+    std::vector<sim::SimTime> strideEnds_;
+    /** When the stride was planned. */
+    sim::SimTime strideStart_ = 0.0;
+    /** Stride iterations committed so far. */
+    std::size_t strideDone_ = 0;
+    /** Index of the iteration whose end the pending event fires at;
+     *  strideDone_ passes it once that event ran. */
+    std::size_t strideStop_ = 0;
+    /** A cut stride's event at its planned last end, parked until the
+     *  stride resumes (batch unchanged) or is planned anew. */
+    sim::EventId endEvent_ = sim::kInvalidEventId;
+    /** advanceStore scratch: per member, the next stride token with
+     *  store work and the tokens committed to the store so far. */
+    std::vector<long> workAt_;
+    std::vector<long> synced_;
 
     bool haltPending_ = false;
     long allowedIters_ = 0;

@@ -1,5 +1,6 @@
 #include "engine/kv_block_store.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace spotserve {
@@ -200,6 +201,7 @@ KvBlockStore::attach(ActiveRequest &r)
     if (!r.kvBlockIds.empty())
         throw std::logic_error("KvBlockStore: request already attached");
     r.kvPromoteCursor = 0;
+    r.kvReclaimStamp = cachedReclaims_;
     const long held = r.kvTokensHeld();
     if (held > 0) {
         // Carried progress (migration / inherited batch): rebuild the
@@ -233,7 +235,7 @@ KvBlockStore::attach(ActiveRequest &r)
             blocks_[id].writer = r.request.id;
             r.kvBlockIds.push_back(id);
         }
-        maybeRegisterTail(r);
+        maybeRegisterTail(r, held);
         return 0;
     }
     const Match m = matchPrefix(r);
@@ -259,12 +261,11 @@ KvBlockStore::attach(ActiveRequest &r)
 }
 
 void
-KvBlockStore::promoteCompletedLevels(ActiveRequest &r)
+KvBlockStore::promoteCompletedLevels(ActiveRequest &r, long held)
 {
     const int limit = shareLimitTokens(r);
     if (limit <= 0)
         return;
-    const long held = r.kvTokensHeld();
     const long prefix_levels =
         std::min<long>(static_cast<long>(r.kvBlockIds.size()),
                        limit / blockTokens_);
@@ -301,14 +302,14 @@ KvBlockStore::promoteCompletedLevels(ActiveRequest &r)
 }
 
 void
-KvBlockStore::maybeRegisterTail(const ActiveRequest &r)
+KvBlockStore::maybeRegisterTail(const ActiveRequest &r, long held)
 {
     const int cls = r.request.prefixId;
     const int p = r.request.prefixLen;
     if (cls < 0 || p <= 0 || p > r.request.inputLen ||
         p % blockTokens_ == 0)
         return;
-    if (r.kvTokensHeld() < p)
+    if (held < p)
         return;
     const int level = p / blockTokens_;
     if (level >= static_cast<int>(r.kvBlockIds.size()))
@@ -325,9 +326,60 @@ KvBlockStore::maybeRegisterTail(const ActiveRequest &r)
 }
 
 void
-KvBlockStore::commitProgress(ActiveRequest &r)
+KvBlockStore::commitProgress(ActiveRequest &r, long steps)
 {
-    const long held = r.kvTokensHeld();
+    if (steps < 1)
+        throw std::invalid_argument("KvBlockStore: commit of < 1 step");
+    // Replay the steps one token at a time, but only where a single-step
+    // commit could do work.
+    const long target = r.kvTokensHeld();
+    long held = target - steps;
+    while (held < target) {
+        held = std::min(target, held + untilWork(r, held));
+        syncTo(r, held);
+    }
+}
+
+long
+KvBlockStore::tokensUntilWork(const ActiveRequest &r) const
+{
+    return untilWork(r, r.kvTokensHeld());
+}
+
+long
+KvBlockStore::untilWork(const ActiveRequest &r, long held) const
+{
+    if (r.kvReclaimStamp != cachedReclaims_)
+        return 1;
+    const long size = static_cast<long>(r.kvBlockIds.size());
+    // The next token past the last level allocates a new one.
+    long n = size * blockTokens_ + 1 - held;
+    // A shared tail is copied on the first token past the shared prefix.
+    if (r.kvTailShared)
+        n = std::min<long>(n, r.sharedPrefixTokens + 1 - held);
+    const int limit = shareLimitTokens(r);
+    if (limit > 0) {
+        // A private in-prefix level publishes once its last token lands.
+        const long end = size * blockTokens_;
+        if (size > 0 && end <= limit && held < end) {
+            const Block &b = blocks_[r.kvBlockIds.back()];
+            if (!b.indexed && b.writer == r.request.id)
+                n = std::min(n, end - held);
+        }
+        // The tail donor registers once the whole prefix is held.
+        const int p = r.request.prefixLen;
+        if (p % blockTokens_ != 0 && held < p)
+            n = std::min<long>(n, p - held);
+    }
+    return std::max(1L, n);
+}
+
+void
+KvBlockStore::syncTo(ActiveRequest &r, long held)
+{
+    // Stamped before this sync's own allocations: a reclaim they cause
+    // is seen by the promotion pass of the next token only.
+    r.kvReclaimStamp = cachedReclaims_;
     if (r.kvTailShared && held > r.sharedPrefixTokens) {
         // First append past the shared tail: copy-on-write the split
         // block so the donor's continuation is untouched.
@@ -340,7 +392,7 @@ KvBlockStore::commitProgress(ActiveRequest &r)
         r.kvTailShared = false;
         ++cowCopies_;
     }
-    promoteCompletedLevels(r);
+    promoteCompletedLevels(r, held);
     const long target = kvBlocksFor(held, blockTokens_);
     const int limit = shareLimitTokens(r);
     const int cls = r.request.prefixId;
@@ -369,7 +421,7 @@ KvBlockStore::commitProgress(ActiveRequest &r)
         blocks_[id].writer = r.request.id;
         r.kvBlockIds.push_back(id);
     }
-    maybeRegisterTail(r);
+    maybeRegisterTail(r, held);
 }
 
 void

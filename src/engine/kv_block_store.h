@@ -93,13 +93,31 @@ class KvBlockStore
     int attach(ActiveRequest &r);
 
     /**
-     * Extend @p r's blocks to cover its committed tokens; call at every
-     * iteration boundary after progress commits.  Fires copy-on-write
-     * when the request first appends past a shared tail block, publishes
-     * freshly completed prefix levels to the index, and registers the
-     * request as tail donor for its class when eligible.
+     * Extend @p r's blocks to cover its committed tokens after @p steps
+     * iteration boundaries.  One step may commit many tokens (a prefill
+     * chunk); with @p steps > 1 the last @p steps tokens are decode
+     * tokens, one per boundary, and the result is exactly that of
+     * @p steps single-step calls — block ids, LRU clock, index and
+     * counters alike — while work is done only at the tokens where a
+     * single-step call could do any.  Fires copy-on-write when the
+     * request first appends past a shared tail block, publishes freshly
+     * completed prefix levels to the index, and registers the request
+     * as tail donor for its class when eligible.
      */
-    void commitProgress(ActiveRequest &r);
+    void commitProgress(ActiveRequest &r, long steps = 1);
+
+    /**
+     * Decode tokens @p r (its blocks covering its committed tokens) can
+     * append before a single-step commitProgress does any work, counting
+     * the token that does: >= 1.  Committing the tokens before it one by
+     * one would change nothing, unless an allocation reclaims a cached
+     * block meanwhile (see cachedReclaims()): that can unblock a
+     * promotion level or tail registration whose key the reclaimed block
+     * held.  So after a reclaim since @p r's last commit the answer is 1
+     * (ActiveRequest::kvReclaimStamp), and a caller interleaving several
+     * requests asks again after any commit that reclaimed.
+     */
+    long tokensUntilWork(const ActiveRequest &r) const;
 
     /**
      * Drop all of @p r's references (completion, eviction, or batch
@@ -147,8 +165,12 @@ class KvBlockStore
     long prefixMatchedTokens() const { return prefixMatchedTokens_; }
     /** Copy-on-write block copies performed. */
     long cowCopies() const { return cowCopies_; }
-    /** Cached blocks reclaimed (LRU) to make room for allocations. */
+    /** Cached blocks reclaimed (LRU) to make room for allocations; also
+     *  the revision of the index entries those reclaims erase. */
     long cachedReclaims() const { return cachedReclaims_; }
+    /** LRU clock: ticks on every allocation, reference and release, so
+     *  two stores that did the same work in the same order agree. */
+    long lruClock() const { return clock_; }
     /** Shared prefix blocks deduplicated while re-attaching carried
      *  requests (each counted block was transferred/allocated once
      *  instead of per-inheritor). */
@@ -184,8 +206,12 @@ class KvBlockStore
     void reclaimOneCached();
     void takeRef(int id);
     void dropRef(int id, wl::RequestId releaser);
-    void maybeRegisterTail(const ActiveRequest &r);
-    void promoteCompletedLevels(ActiveRequest &r);
+    void maybeRegisterTail(const ActiveRequest &r, long held);
+    void promoteCompletedLevels(ActiveRequest &r, long held);
+    /** One single-step commit of @p r at @p held tokens. */
+    void syncTo(ActiveRequest &r, long held);
+    /** tokensUntilWork for @p r synced at @p held tokens. */
+    long untilWork(const ActiveRequest &r, long held) const;
 
     std::vector<Block> blocks_;
     std::vector<int> freeList_;

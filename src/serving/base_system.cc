@@ -22,6 +22,58 @@ BaseServingSystem::BaseServingSystem(sim::Executor &executor,
     if (engine_.kvBlockTokens < 1)
         throw std::invalid_argument(
             "BaseServingSystem: kvBlockTokens must be >= 1 token");
+    requests_.setQueuedObserver([this] {
+        if (!dealingArrival_)
+            cutStridesForQueuedWork();
+    });
+}
+
+BaseServingSystem::~BaseServingSystem()
+{
+    requests_.setQueuedObserver(nullptr);
+}
+
+void
+BaseServingSystem::forEachPipeline(
+    const std::function<void(engine::InferencePipeline &)> &fn) const
+{
+    if (!deployment_)
+        return;
+    for (const auto &p : deployment_->pipelines) {
+        if (p)
+            fn(*p);
+    }
+}
+
+void
+BaseServingSystem::cutStridesForQueuedWork()
+{
+    forEachPipeline([](engine::InferencePipeline &p) {
+        if (p.executing() && p.freeSlots() > 0)
+            p.cutStride();
+    });
+}
+
+void
+BaseServingSystem::settlePipelines() const
+{
+    forEachPipeline([](engine::InferencePipeline &p) { p.settle(); });
+}
+
+void
+BaseServingSystem::setKvObserver(
+    std::function<void(const engine::InferencePipeline &)> observer)
+{
+    kvObserver_ = std::move(observer);
+    forEachPipeline([](engine::InferencePipeline &p) { p.cutStride(); });
+}
+
+void
+BaseServingSystem::setTokenObserver(
+    std::function<void(const engine::ActiveRequest &)> observer)
+{
+    tokenObserver_ = std::move(observer);
+    forEachPipeline([](engine::InferencePipeline &p) { p.cutStride(); });
 }
 
 long
@@ -55,12 +107,9 @@ long
 BaseServingSystem::bestPrefixDiscount(const engine::ActiveRequest &head) const
 {
     long best = 0;
-    if (!deployment_)
-        return best;
-    for (const auto &p : deployment_->pipelines) {
-        if (p)
-            best = std::max(best, p->prefixQuoteBlocks(head));
-    }
+    forEachPipeline([&](engine::InferencePipeline &p) {
+        best = std::max(best, p.prefixQuoteBlocks(head));
+    });
     return best;
 }
 
@@ -100,7 +149,13 @@ BaseServingSystem::replicaKvBudgetBlocks(
 void
 BaseServingSystem::onRequestArrival(const wl::Request &request)
 {
+    // Idle replicas take their pick first: only work still queued after
+    // that can be admitted at a striding replica's next boundary.
+    dealingArrival_ = true;
     handleArrival(request);
+    dealingArrival_ = false;
+    if (!requests_.pendingEmpty())
+        cutStridesForQueuedWork();
 }
 
 void
@@ -199,6 +254,11 @@ BaseServingSystem::makePipeline(const par::ParallelConfig &config, int index)
         if (tokenObserver_)
             tokenObserver_(r);
     };
+    cb.everyIteration = [this] {
+        return static_cast<bool>(tokenObserver_) ||
+               static_cast<bool>(kvObserver_);
+    };
+    cb.workQueued = [this] { return !requests_.pendingEmpty(); };
     cb.onIdle = [this](engine::InferencePipeline &p) { onPipelineIdle(p); };
     cb.onHalted = [this](engine::InferencePipeline &p) {
         onPipelineHalted(p);
@@ -314,6 +374,8 @@ BaseServingSystem::installDeployment(
 void
 BaseServingSystem::clearDeployment()
 {
+    // The boundaries the pipelines passed still feed the peak totals.
+    settlePipelines();
     deployment_.reset();
 }
 
@@ -456,13 +518,11 @@ BaseServingSystem::restartAndRequeue(std::vector<engine::ActiveRequest> batch)
 long
 BaseServingSystem::liveKvRefs() const
 {
-    if (!hasDeployment())
-        return 0;
     long refs = 0;
-    for (const auto &p : deployment().pipelines) {
-        if (p != nullptr && p->kvStore() != nullptr)
-            refs += p->kvStore()->totalLiveRefs();
-    }
+    forEachPipeline([&](engine::InferencePipeline &p) {
+        if (p.kvStore() != nullptr)
+            refs += p.kvStore()->totalLiveRefs();
+    });
     return refs;
 }
 

@@ -85,6 +85,9 @@ class BaseServingSystem : public ServingSystem
                       const cost::CostParams &params,
                       const cost::SeqSpec &seq, EngineOptions engine = {});
 
+    /** Detaches from the request manager's queued observer. */
+    ~BaseServingSystem() override;
+
     void onRequestArrival(const wl::Request &request) override;
     const std::vector<ConfigChange> &configHistory() const override
     {
@@ -106,37 +109,40 @@ class BaseServingSystem : public ServingSystem
     long restartedRequeues() const { return restartedRequeues_; }
 
     /**
-     * Live KV block references summed over every deployed replica's
-     * KvBlockStore (0 with prefix sharing off or no deployment).  Leak
+     * Live KV block references summed over every live replica's
+     * KvBlockStore (0 with prefix sharing off or no replica).  Leak
      * audit for the fault tests: once every request has completed or
      * been rejected, any nonzero value is a reference a recovery path
      * failed to release.
      */
-    virtual long liveKvRefs() const;
+    long liveKvRefs() const;
+
+    /**
+     * Commit every live replica's planned iterations up to now (see
+     * InferencePipeline::settle).  The peak and prefix totals below are
+     * accumulated at boundaries, so a driver calls this after
+     * run(until) before reading them; runExperimentOn does.
+     */
+    void settlePipelines() const;
 
     /**
      * Observer forwarded to every pipeline's iteration-boundary callback
      * (tests assert the KV-budget invariant here; benches sample peaks).
-     * Read at fire time, so it takes effect immediately for live
-     * pipelines too.
+     * While one is set, replicas run one iteration per event, so it sees
+     * every boundary from each replica's next boundary on.
      */
     void setKvObserver(
-        std::function<void(const engine::InferencePipeline &)> observer)
-    {
-        kvObserver_ = std::move(observer);
-    }
+        std::function<void(const engine::InferencePipeline &)> observer);
 
     /**
      * Observer forwarded to every pipeline's per-token callback: fired
      * once per request per committed output token.  The socket ingress
-     * streams tokens from here; experiments leave it unset.  Read at
-     * fire time, so it takes effect immediately for live pipelines too.
+     * streams tokens from here; experiments leave it unset.  Like the KV
+     * observer it holds replicas to one iteration per event, and takes
+     * effect from each replica's next boundary.
      */
     void setTokenObserver(
-        std::function<void(const engine::ActiveRequest &)> observer)
-    {
-        tokenObserver_ = std::move(observer);
-    }
+        std::function<void(const engine::ActiveRequest &)> observer);
 
     /** Largest KV holding any replica reached at a boundary (tokens). */
     long peakKvHeldTokens() const { return peakKvHeldTokens_; }
@@ -224,6 +230,14 @@ class BaseServingSystem : public ServingSystem
 
     /** Destroy all pipelines (holdings are retained: daemons stay alive). */
     void clearDeployment();
+
+    /**
+     * Visit every live pipeline this system owns: the deployment's
+     * replicas by default; systems with their own pipeline pools
+     * (rerouting slots) override.
+     */
+    virtual void forEachPipeline(
+        const std::function<void(engine::InferencePipeline &)> &fn) const;
 
     /** Give replica @p pipeline_idx a recovered batch and start it. */
     void loadBatch(int pipeline_idx,
@@ -340,11 +354,9 @@ class BaseServingSystem : public ServingSystem
 
     /**
      * Best prefix-sharing admission quote (matched-and-live shared
-     * blocks) any live replica offers @p head.  The default scans the
-     * deployment's pipelines; systems with their own pipeline pools
-     * (rerouting slots) override.  0 without sharing.
+     * blocks) any live replica offers @p head.  0 without sharing.
      */
-    virtual long bestPrefixDiscount(const engine::ActiveRequest &head) const;
+    long bestPrefixDiscount(const engine::ActiveRequest &head) const;
 
     /** Build a pipeline wired to this system's callbacks. */
     std::unique_ptr<engine::InferencePipeline>
@@ -361,7 +373,14 @@ class BaseServingSystem : public ServingSystem
     cost::ThroughputModel throughput_;
 
   private:
+    /** Work was queued: replicas with a free slot stop their strides at
+     *  the next boundary, where admission runs. */
+    void cutStridesForQueuedWork();
+
     std::optional<Deployment> deployment_;
+    /** onRequestArrival is dealing an arrival: its push cuts strides
+     *  only if the work is still queued afterwards. */
+    bool dealingArrival_ = false;
     std::vector<ConfigChange> history_;
     long restartedRequeues_ = 0;
     EngineOptions engine_;

@@ -22,6 +22,8 @@ RequestManager::submit(const wl::Request &request)
     pending_.push_back(active);
     recentArrivals_.push_back(sim_.now());
     ++arrived_;
+    if (queuedObserver_)
+        queuedObserver_();
 }
 
 void
@@ -42,6 +44,8 @@ RequestManager::requeue(std::vector<engine::ActiveRequest> requests)
                         const engine::ActiveRequest &b) {
                          return a.request.arrival < b.request.arrival;
                      });
+    if (queuedObserver_)
+        queuedObserver_();
 }
 
 void

@@ -177,6 +177,18 @@ class RequestManager
     }
 
     /**
+     * Observer fired after every push onto the queue: each submit() and
+     * each non-empty requeue().  The serving system that dispatches
+     * from this queue sets it, so replicas that planned several
+     * iterations against an empty queue stop at their next boundary and
+     * admit the work there.  Runs on the executor's driver thread.
+     */
+    void setQueuedObserver(std::function<void()> observer)
+    {
+        queuedObserver_ = std::move(observer);
+    }
+
+    /**
      * The output-length predictor optimistic admission charges against
      * (mutable access so tests and warm-started deployments can prime
      * it with historical completions).
@@ -267,6 +279,7 @@ class RequestManager
     std::vector<CompletionRecord> completions_;
     std::function<void(const CompletionRecord &)> completionObserver_;
     std::function<void(wl::RequestId)> rejectionObserver_;
+    std::function<void()> queuedObserver_;
     long arrived_ = 0;
     long midBatchAdmissions_ = 0;
     long rejected_ = 0;

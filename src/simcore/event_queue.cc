@@ -19,6 +19,21 @@ constexpr std::uint64_t kMaxSeq =
 EventId
 EventQueue::schedule(SimTime when, EventCallback fn)
 {
+    OrderKey key = kFreshOrderKey;
+    return push(when, -kTimeInfinity, key, std::move(fn));
+}
+
+EventId
+EventQueue::scheduleOrdered(SimTime when, SimTime after, OrderKey &key,
+                            EventCallback fn)
+{
+    return push(when, after, key, std::move(fn));
+}
+
+EventId
+EventQueue::push(SimTime when, SimTime after, OrderKey &key,
+                 EventCallback fn)
+{
     if (nextSeq_ > kMaxSeq)
         throw std::length_error("EventQueue: event sequence exhausted");
     std::size_t slot;
@@ -31,10 +46,13 @@ EventQueue::schedule(SimTime when, EventCallback fn)
         slot = slots_.size();
         slots_.emplace_back();
     }
-    const EventId id = (nextSeq_++ << kSlotBits) | slot;
+    const std::uint64_t seq = nextSeq_++;
+    const EventId id = (seq << kSlotBits) | slot;
     slots_[slot].fn = std::move(fn);
     slots_[slot].id = id;
-    heap_.push_back(Node{when, id});
+    if (key == kFreshOrderKey)
+        key = seq;
+    heap_.push_back(Node{when, EventOrder{after, key}, id});
     std::push_heap(heap_.begin(), heap_.end(), Later{});
     ++live_;
     return id;
@@ -76,7 +94,7 @@ EventQueue::pop()
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     heap_.pop_back();
     Slot &s = slots_[slotOf(top.id)];
-    Fired fired{top.time, top.id, std::move(s.fn)};
+    Fired fired{top.time, top.order, top.id, std::move(s.fn)};
     s.fn = nullptr;
     s.id = kInvalidEventId;
     freeSlots_.push_back(slotOf(top.id));

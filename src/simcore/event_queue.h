@@ -2,23 +2,40 @@
  * @file
  * Deterministic pending-event set for the discrete-event simulator.
  *
- * Events are ordered by (time, sequence number) so that two events scheduled
- * for the same instant always fire in the order they were scheduled,
- * independent of heap internals.  This determinism is load-bearing: the
- * serving experiments and the regression tests compare exact latency series
- * across runs.
+ * Events are ordered by (time, EventOrder): among events due at the same
+ * instant, by the time each was scheduled ("after"), then by an order key.
+ * A plain schedule uses the event's own sequence number as its key (the
+ * simulator passes its clock as "after", schedule() here -inf); since
+ * clocks never run backwards, two plain events due at the same instant
+ * fire in the order they were scheduled, independent of heap internals.
+ * This determinism is load-bearing: the serving experiments and the
+ * regression tests compare exact latency series across runs.
  *
- * Layout.  The binary heap holds plain 16-byte (time, id) nodes; the
- * callbacks live in a slot table (a vector with a free list), so sifting
- * moves two words per level instead of a std::function, and scheduling
- * allocates nothing once the table has grown to the peak pending count.
+ * Order keys.  scheduleOrdered() lets a caller state both levels.  A key
+ * is a sequence number drawn from the same counter as the plain
+ * schedules (pass kFreshOrderKey and the event's own number is used and
+ * written back), so keyed and plain events interleave in the order their
+ * keys were drawn.  An engine replica that plans k iterations ahead
+ * schedules the k-th iteration's end with "after" set to the end of the
+ * (k-1)-th — when one-iteration steps would have scheduled it — and with
+ * the key it drew at its last batch change.  Among same-time events whose
+ * "after" differs that is exactly the one-step order; only a tie on both
+ * times falls back to the keys.  Keys order events; they never identify
+ * them (see Ids).
  *
- * Ids.  An EventId carries the schedule sequence number in its high 40
- * bits and the slot index in its low 24 bits.  Comparing ids therefore
- * compares sequence numbers (ties still break in schedule order), and an
- * id names exactly one occupancy of its slot: a slot reused by a later
+ * Layout.  The binary heap holds plain 32-byte (time, after, key, id)
+ * nodes; the callbacks live in a slot table (a vector with a free list),
+ * so sifting moves four words per level instead of a std::function, and
+ * scheduling allocates nothing once the table has grown to the peak
+ * pending count.
+ *
+ * Ids.  An EventId carries a fresh schedule sequence number in its high
+ * 40 bits and the slot index in its low 24 bits, for keyed events too, so
+ * an id names exactly one occupancy of its slot: a slot reused by a later
  * event carries a different sequence number, so a stale id can neither
- * cancel nor be mistaken for the new occupant.
+ * cancel nor be mistaken for the new occupant.  Events equal on every
+ * level (a keyed chain's cancelled node and its replacement) break the
+ * tie by id.
  *
  * Lazy cancellation.  cancel() is O(1): it checks that the slot still
  * holds that id, then frees the slot (dropping the callback).  The heap
@@ -48,6 +65,28 @@ namespace sim {
 /** Action executed when an event fires. */
 using EventCallback = std::function<void()>;
 
+/** Same-time ordering key of an event (see EventQueue, "Order keys"). */
+using OrderKey = std::uint64_t;
+/** Passed to scheduleOrdered(): draw a fresh key for this event. */
+constexpr OrderKey kFreshOrderKey = 0;
+
+/** Where an event sits among events due at the same time. */
+struct EventOrder
+{
+    /** When the event was scheduled, or would have been. */
+    SimTime after;
+    OrderKey key;
+
+    bool
+    operator<(const EventOrder &o) const
+    {
+        return after != o.after ? after < o.after : key < o.key;
+    }
+};
+
+/** Orders after every event (none is firing). */
+constexpr EventOrder kLastEventOrder{kTimeInfinity, ~OrderKey{0}};
+
 /**
  * Priority queue of timed callbacks with O(log n) schedule/pop and
  * O(1) lazy cancellation.
@@ -61,12 +100,23 @@ class EventQueue
     static constexpr std::size_t kMaxPending = std::size_t{1} << kSlotBits;
 
     /**
-     * Schedule @p fn to fire at absolute time @p when.
+     * Schedule @p fn to fire at absolute time @p when, after every event
+     * already scheduled for that instant.
      * @return a handle usable with cancel().
      * @throws std::length_error past kMaxPending pending events or
      *         2^40 schedules.
      */
     EventId schedule(SimTime when, EventCallback fn);
+
+    /**
+     * Schedule @p fn at @p when, ordered among same-time events by
+     * (@p after, @p key).  A @p key of kFreshOrderKey is replaced by the
+     * event's own sequence number, which the caller may reuse for later
+     * events.  schedule() is scheduleOrdered(when, -inf, fresh key, fn).
+     * @throws std::length_error as schedule().
+     */
+    EventId scheduleOrdered(SimTime when, SimTime after, OrderKey &key,
+                            EventCallback fn);
 
     /**
      * Cancel a previously scheduled event.  Cancelling an already-fired or
@@ -91,6 +141,7 @@ class EventQueue
     struct Fired
     {
         SimTime time;
+        EventOrder order;
         EventId id;
         EventCallback fn;
     };
@@ -109,6 +160,7 @@ class EventQueue
     struct Node
     {
         SimTime time;
+        EventOrder order;
         EventId id;
     };
 
@@ -119,6 +171,10 @@ class EventQueue
         {
             if (a.time != b.time)
                 return a.time > b.time;
+            if (a.order.after != b.order.after)
+                return a.order.after > b.order.after;
+            if (a.order.key != b.order.key)
+                return a.order.key > b.order.key;
             return a.id > b.id;
         }
     };
@@ -139,6 +195,10 @@ class EventQueue
      *  Const because it changes no observable state: nextTime() uses it
      *  to peek. */
     void skipStale() const;
+
+    /** Store @p fn under a fresh id and push its heap node. */
+    EventId push(SimTime when, SimTime after, OrderKey &key,
+                 EventCallback fn);
 
     /** Min-heap under Later (std::push_heap / std::pop_heap). */
     mutable std::vector<Node> heap_;

@@ -16,6 +16,7 @@
 #define SPOTSERVE_SIMCORE_EXECUTOR_H
 
 #include <cstdint>
+#include <stdexcept>
 
 #include "simcore/event_queue.h"
 #include "simcore/sim_time.h"
@@ -29,12 +30,23 @@ namespace sim {
  * Contract shared by every implementation:
  *  - now() is monotonically non-decreasing.
  *  - Callbacks run one at a time (never concurrently with each other), in
- *    (time, schedule-order) sequence, with now() >= the scheduled time
+ *    (time, schedule-order) sequence — (time, EventOrder) where order
+ *    keys are supported, see below — with now() >= the scheduled time
  *    while the callback runs.  Components therefore need no internal
  *    locking; threaded implementations serialize callbacks on a single
  *    driver thread and only schedule()/scheduleAfter()/cancel()/now() may
  *    be called from other threads.
  *  - cancel() of an already-fired or unknown event is a harmless no-op.
+ *
+ * Ordered scheduling is an optional capability (supportsOrderKeys()).
+ * An executor that has it orders same-time events by EventOrder: the
+ * time each was scheduled, then a key.  A plain schedule() is ordered
+ * (now(), its own sequence number), which is schedule order; with
+ * scheduleOrdered() the caller states both, so an event planned ahead
+ * can take the place it would have had if scheduled later (see
+ * EventQueue, "Order keys").  The simulator has it; decorators and the
+ * wall-clock executor keep the defaults, which mean "unsupported", and
+ * callers then schedule one event at a time.
  */
 class Executor
 {
@@ -75,11 +87,39 @@ class Executor
     /** Events fired since construction. */
     virtual std::uint64_t eventsFired() const = 0;
 
+    /** True when scheduleOrdered() and firingOrder() are available. */
+    virtual bool supportsOrderKeys() const { return false; }
+
+    /**
+     * Schedule @p fn at absolute time @p when (>= now()), ordered among
+     * same-time events by (@p after, @p key), @p after <= @p when: the
+     * time the event is taken to have been scheduled, which may lie
+     * ahead of now() for an event planned several steps early.  A
+     * @p key of kFreshOrderKey draws a fresh key now and writes it
+     * back.  The returned id is unique as schedule()'s is.
+     * @throws std::logic_error unless supportsOrderKeys().
+     */
+    virtual EventId scheduleOrdered(SimTime when, SimTime after,
+                                    OrderKey &key, EventCallback fn);
+
+    /**
+     * EventOrder of the event whose callback is running; kLastEventOrder
+     * outside callbacks (after run() returns, every event at or before
+     * now() counts as past).  Meaningful only if supportsOrderKeys().
+     */
+    virtual EventOrder firingOrder() const { return kLastEventOrder; }
+
   protected:
     Executor() = default;
     Executor(const Executor &) = delete;
     Executor &operator=(const Executor &) = delete;
 };
+
+inline EventId
+Executor::scheduleOrdered(SimTime, SimTime, OrderKey &, EventCallback)
+{
+    throw std::logic_error("Executor: ordered scheduling unsupported");
+}
 
 } // namespace sim
 } // namespace spotserve

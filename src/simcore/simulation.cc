@@ -12,7 +12,8 @@ Simulation::schedule(SimTime when, EventCallback fn)
 {
     if (when < now_)
         throw std::invalid_argument("Simulation::schedule: time in the past");
-    return queue_.schedule(when, std::move(fn));
+    OrderKey key = kFreshOrderKey;
+    return queue_.scheduleOrdered(when, now_, key, std::move(fn));
 }
 
 EventId
@@ -20,7 +21,30 @@ Simulation::scheduleAfter(SimTime delay, EventCallback fn)
 {
     if (delay < 0.0)
         throw std::invalid_argument("Simulation::scheduleAfter: negative delay");
-    return queue_.schedule(now_ + delay, std::move(fn));
+    OrderKey key = kFreshOrderKey;
+    return queue_.scheduleOrdered(now_ + delay, now_, key, std::move(fn));
+}
+
+EventId
+Simulation::scheduleOrdered(SimTime when, SimTime after, OrderKey &key,
+                            EventCallback fn)
+{
+    if (when < now_ || after > when)
+        throw std::invalid_argument(
+            "Simulation::scheduleOrdered: time in the past");
+    return queue_.scheduleOrdered(when, after, key, std::move(fn));
+}
+
+void
+Simulation::fireNext()
+{
+    auto ev = queue_.pop();
+    assert(ev.time >= now_ && "event queue went backwards in time");
+    now_ = ev.time;
+    firing_ = ev.order;
+    ev.fn();
+    firing_ = kLastEventOrder;
+    ++eventsFired_;
 }
 
 std::uint64_t
@@ -28,11 +52,7 @@ Simulation::run(SimTime until)
 {
     std::uint64_t fired = 0;
     while (!queue_.empty() && queue_.nextTime() <= until) {
-        auto ev = queue_.pop();
-        assert(ev.time >= now_ && "event queue went backwards in time");
-        now_ = ev.time;
-        ev.fn();
-        ++eventsFired_;
+        fireNext();
         ++fired;
     }
     // Park the clock at the horizon so subsequent scheduling is relative to
@@ -47,10 +67,7 @@ Simulation::step()
 {
     if (queue_.empty())
         return false;
-    auto ev = queue_.pop();
-    now_ = ev.time;
-    ev.fn();
-    ++eventsFired_;
+    fireNext();
     return true;
 }
 

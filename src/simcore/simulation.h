@@ -17,7 +17,8 @@ namespace sim {
 
 /**
  * Deterministic Executor: owns the simulated clock and the event queue and
- * advances time by firing events in (time, schedule-order) sequence.
+ * advances time by firing events in (time, EventOrder) sequence, where a
+ * plain schedule is ordered by (now, schedule order).
  *
  * Components hold a reference to the Executor seam and schedule callbacks
  * on it; nothing driven by a Simulation reads wall-clock time, so the same
@@ -59,12 +60,25 @@ class Simulation : public Executor
     /** Number of events fired since construction. */
     std::uint64_t eventsFired() const override { return eventsFired_; }
 
+    bool supportsOrderKeys() const override { return true; }
+
+    /** Schedule @p fn at @p when (>= now(), >= @p after) in
+     *  (@p after, @p key) order. */
+    EventId scheduleOrdered(SimTime when, SimTime after, OrderKey &key,
+                            EventCallback fn) override;
+
+    EventOrder firingOrder() const override { return firing_; }
+
     /** Pending-event count (live only). */
     std::size_t pendingEvents() const { return queue_.size(); }
 
   private:
+    /** Pop and run the earliest event. */
+    void fireNext();
+
     EventQueue queue_;
     SimTime now_ = 0.0;
+    EventOrder firing_ = kLastEventOrder;
     std::uint64_t eventsFired_ = 0;
 };
 

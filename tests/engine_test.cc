@@ -13,6 +13,7 @@
 #include "engine/context_state.h"
 #include "engine/inference_pipeline.h"
 #include "model/model_spec.h"
+#include "plain_order_executor.h"
 
 // Counting global allocator: lets a test assert that a stretch of
 // simulated boundaries performs no heap allocation at all.
@@ -316,6 +317,221 @@ TEST(InferencePipelineTest, SteadyBoundariesDoNotAllocate)
     EXPECT_EQ(completions, 8);
     EXPECT_EQ(evictions, 0);
     EXPECT_TRUE(pipeline.idle());
+}
+
+// ---------------------------------------------------------------------
+// Strides: several decode iterations per event, settled on access
+// ---------------------------------------------------------------------
+
+/** A recovered decoder with @p remaining output tokens left. */
+ActiveRequest
+decoder(wl::RequestId id, int remaining)
+{
+    return makeRequest(id, 128 - remaining);
+}
+
+/** One pipeline over decoders, strided or held to one iteration per
+ *  event, recording the time of every boundary it observes. */
+struct StrideHarness
+{
+    sim::Simulation sim;
+    model::ModelSpec spec = model::ModelSpec::opt6_7b();
+    cost::LatencyModel latency{spec, kParams};
+    std::vector<sim::SimTime> observed;
+    std::unique_ptr<InferencePipeline> pipeline;
+
+    explicit StrideHarness(bool stepped)
+    {
+        InferencePipeline::Callbacks cb;
+        cb.everyIteration = [stepped] { return stepped; };
+        cb.onBoundary = [this](const InferencePipeline &) {
+            observed.push_back(sim.now());
+        };
+        pipeline = std::make_unique<InferencePipeline>(
+            sim, latency, par::ParallelConfig{1, 1, 4, 8}, 0, cb);
+        pipeline->startBatch({decoder(1, 50), decoder(2, 60)});
+    }
+};
+
+/** End time of each iteration of StrideHarness's batch (index i = end
+ *  of iteration i; 0 = the start). */
+std::vector<sim::SimTime>
+boundaryTimes()
+{
+    StrideHarness ref(/*stepped=*/true);
+    ref.sim.run();
+    return ref.observed;
+}
+
+TEST(StrideTest, OneEventPerBatchChange)
+{
+    const auto t = boundaryTimes();
+    ASSERT_EQ(t.size(), 61u);
+    StrideHarness h(/*stepped=*/false);
+    h.sim.run();
+    // Two strides: to request 1's completion, then to request 2's.
+    EXPECT_EQ(h.sim.eventsFired(), 2u);
+    EXPECT_EQ(h.sim.now(), t[60]);
+    EXPECT_EQ(h.pipeline->iterationsExecuted(), 60);
+    EXPECT_EQ(h.pipeline->tokensCommitted(), 110);
+    EXPECT_TRUE(h.pipeline->idle());
+}
+
+TEST(StrideTest, ReadAfterRunUntilSeesSettledState)
+{
+    const auto t = boundaryTimes();
+    StrideHarness h(/*stepped=*/false);
+    h.sim.run((t[20] + t[21]) / 2.0);
+    EXPECT_EQ(h.pipeline->iterationsExecuted(), 20);
+    EXPECT_EQ(h.pipeline->batch()[0].committedTokens, 78 + 20);
+    // A boundary exactly at the horizon counts, as an event there fires.
+    h.sim.run(t[30]);
+    EXPECT_EQ(h.pipeline->tokensCommitted(), 60);
+    EXPECT_EQ(h.pipeline->batch()[1].committedTokens, 68 + 30);
+    EXPECT_EQ(h.sim.eventsFired(), 0u);
+}
+
+TEST(StrideTest, HaltsMidStrideCommitExactlyTheElapsedBoundaries)
+{
+    const auto t = boundaryTimes();
+    const double mid = (t[10] + t[11]) / 2.0;
+    // haltNow drops the in-flight 11th iteration; haltAfter(2) lets it
+    // and two more finish, then drains.
+    for (int after : {-1, 2}) {
+        SCOPED_TRACE("haltAfter " + std::to_string(after));
+        StrideHarness strided(false), stepped(true);
+        for (StrideHarness *h : {&strided, &stepped}) {
+            h->sim.schedule(mid, [h, after] {
+                if (after < 0)
+                    h->pipeline->haltNow();
+                else
+                    h->pipeline->haltAfter(after);
+            });
+            h->sim.run();
+            EXPECT_TRUE(h->pipeline->halted());
+        }
+        const long want = after < 0 ? 10 : 13;
+        EXPECT_EQ(strided.pipeline->iterationsExecuted(), want);
+        EXPECT_EQ(stepped.pipeline->iterationsExecuted(), want);
+        EXPECT_EQ(strided.pipeline->batch()[0].committedTokens, 78 + want);
+        EXPECT_EQ(strided.sim.now(), stepped.sim.now());
+        EXPECT_LT(strided.sim.eventsFired(), stepped.sim.eventsFired());
+    }
+}
+
+// At exactly the 10th boundary's time, events order as if that boundary
+// had been scheduled when the 9th ended: one scheduled at t=0 (before or
+// after the batch started) precedes it, one scheduled after the 9th
+// boundary follows it.  The same holds at the 50th, where the stride's
+// own event fires: an event scheduled before the 49th precedes it.
+TEST(StrideTest, SameTimeEventsOrderAsIfEachIterationWereScheduled)
+{
+    const auto t = boundaryTimes();
+    sim::Simulation sim;
+    const auto spec = model::ModelSpec::opt6_7b();
+    const cost::LatencyModel latency(spec, kParams);
+    InferencePipeline pipeline(sim, latency, par::ParallelConfig{1, 1, 4, 8},
+                               0, {});
+    long first = -1, second = -1, late = -1, at_end = -1;
+    sim.schedule(t[10], [&] { first = pipeline.iterationsExecuted(); });
+    pipeline.startBatch({decoder(1, 50), decoder(2, 60)});
+    sim.schedule(t[10], [&] { second = pipeline.iterationsExecuted(); });
+    sim.schedule((t[9] + t[10]) / 2.0, [&] {
+        sim.schedule(t[10], [&] { late = pipeline.iterationsExecuted(); });
+    });
+    sim.schedule(t[20], [&] {
+        sim.schedule(t[50], [&] { at_end = pipeline.iterationsExecuted(); });
+    });
+    sim.run();
+    EXPECT_EQ(first, 9);
+    EXPECT_EQ(second, 9);
+    EXPECT_EQ(late, 10);
+    EXPECT_EQ(at_end, 49);
+}
+
+// Coincident replicas with equal batches finish their requests at the
+// same instants; the strided run completes them in the same order as
+// one-iteration-per-event runs, under order keys and in plain schedule
+// order alike.
+TEST(StrideTest, CoincidentReplicasCompleteInStrideOneOrder)
+{
+    const auto spec = model::ModelSpec::opt6_7b();
+    const cost::LatencyModel latency(spec, kParams);
+    auto completions = [&](int mode) {
+        sim::Simulation sim;
+        PlainOrderExecutor plain(sim);
+        sim::Executor &exec =
+            mode == 2 ? static_cast<sim::Executor &>(plain) : sim;
+        std::vector<wl::RequestId> order;
+        InferencePipeline::Callbacks cb;
+        cb.onRequestComplete = [&](const ActiveRequest &r) {
+            order.push_back(r.request.id);
+        };
+        cb.everyIteration = [mode] { return mode == 1; };
+        std::vector<std::unique_ptr<InferencePipeline>> replicas;
+        for (int d = 0; d < 3; ++d) {
+            replicas.push_back(std::make_unique<InferencePipeline>(
+                exec, latency, par::ParallelConfig{1, 1, 4, 8}, d, cb));
+        }
+        for (int d = 0; d < 3; ++d) {
+            const wl::RequestId base = 10 * (d + 1);
+            replicas[d]->startBatch({decoder(base + 1, 20),
+                                     decoder(base + 2, 35),
+                                     decoder(base + 3, 35 + 10 * d)});
+        }
+        sim.run();
+        return std::make_pair(order, sim.eventsFired());
+    };
+    const auto [strided, strided_events] = completions(0);
+    const auto [keyed, keyed_events] = completions(1);
+    const auto [plain, plain_events] = completions(2);
+    ASSERT_EQ(strided.size(), 9u);
+    EXPECT_EQ(strided, keyed);
+    EXPECT_EQ(strided, plain);
+    EXPECT_LT(strided_events, keyed_events);
+    EXPECT_EQ(keyed_events, plain_events);
+}
+
+// A replica draws a new order key when its batch changes.  P completes
+// request 1 at its 10th boundary, the instant an event scheduled before
+// P started starts Q with a batch of P's shape: from then on the two
+// coincide, and Q — whose boundary was scheduled first at that instant
+// — completes first.  Without the new key P would keep its old place.
+TEST(StrideTest, BatchChangeDrawsANewOrderKey)
+{
+    const auto spec = model::ModelSpec::opt6_7b();
+    const cost::LatencyModel latency(spec, kParams);
+    const par::ParallelConfig config{1, 1, 4, 8};
+    auto completions = [&](int mode, sim::SimTime start_q) {
+        sim::Simulation sim;
+        PlainOrderExecutor plain(sim);
+        sim::Executor &exec =
+            mode == 2 ? static_cast<sim::Executor &>(plain) : sim;
+        std::vector<wl::RequestId> order;
+        std::vector<sim::SimTime> times;
+        InferencePipeline::Callbacks cb;
+        cb.onRequestComplete = [&](const ActiveRequest &r) {
+            order.push_back(r.request.id);
+        };
+        cb.onBoundary = [&](const InferencePipeline &) {
+            times.push_back(sim.now());
+        };
+        cb.everyIteration = [mode] { return mode == 1; };
+        InferencePipeline p(exec, latency, config, 0, cb);
+        InferencePipeline q(exec, latency, config, 1, cb);
+        if (start_q > 0.0)
+            exec.schedule(start_q, [&] { q.startBatch({decoder(3, 20)}); });
+        p.startBatch({decoder(1, 10), decoder(2, 30)});
+        sim.run();
+        return std::make_pair(order, times);
+    };
+    const sim::SimTime t10 = completions(1, 0.0).second.at(10);
+    const auto strided = completions(0, t10).first;
+    const auto keyed = completions(1, t10).first;
+    const auto plain = completions(2, t10).first;
+    EXPECT_EQ(plain, (std::vector<wl::RequestId>{1, 3, 2}));
+    EXPECT_EQ(strided, plain);
+    EXPECT_EQ(keyed, plain);
 }
 
 TEST(ActiveRequestTest, RestartResetsProgress)

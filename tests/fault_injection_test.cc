@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <set>
@@ -380,6 +381,39 @@ struct ChaosCase
     bool prefixSharing;
 };
 
+/**
+ * Move the plan's mid-migration kill to the hardened trace's first
+ * availability change after the initial fleet joined, with a 30 s
+ * patience.  On trace BS that change (a notice or, once hardened, a
+ * zero-notice kill) starts a reconfiguration whose transfers are in
+ * flight for about four seconds within ten seconds of it, on every
+ * seed; the plan's random time often found no transfer in flight and
+ * lapsed into a plain kill.  The first noticed preemption is no anchor
+ * here: OPT-6.7B's notice-driven migrations late in the trace last
+ * under a second, between two of the injector's once-a-second checks.
+ */
+void
+armMigrationKillAtFirstChange(cluster::FaultPlan &plan,
+                              const cluster::AvailabilityTrace &trace)
+{
+    const auto change = std::find_if(
+        trace.events().begin(), trace.events().end(),
+        [](const cluster::TraceEvent &e) { return e.time > 0.0; });
+    ASSERT_NE(change, trace.events().end()) << "no availability change";
+    for (auto &e : plan.events) {
+        if (e.kind == cluster::FaultEvent::Kind::KillMigrationSource ||
+            e.kind == cluster::FaultEvent::Kind::KillMigrationTarget) {
+            e.time = change->time;
+            e.patience = 30.0;
+        }
+    }
+    std::stable_sort(plan.events.begin(), plan.events.end(),
+                     [](const cluster::FaultEvent &a,
+                        const cluster::FaultEvent &b) {
+                         return a.time < b.time;
+                     });
+}
+
 serving::ExperimentResult
 runChaos(const ChaosCase &c, bool fault_recovery = true)
 {
@@ -391,9 +425,10 @@ runChaos(const ChaosCase &c, bool fault_recovery = true)
     // plus a seeded schedule of mid-migration kills and link faults.
     const auto trace =
         cluster::hardenPreemptions(cluster::traceBS(), 0.5, c.seed);
-    const auto plan = cluster::FaultPlan::chaos(
+    auto plan = cluster::FaultPlan::chaos(
         c.seed, trace.duration(), /*hard_kills=*/1, /*migration_kills=*/1,
         /*link_faults=*/2);
+    armMigrationKillAtFirstChange(plan, trace);
 
     core::SpotServeOptions options;
     options.designArrivalRate = rate;
@@ -444,6 +479,9 @@ TEST(ChaosSweepTest, SpotServeSurvivesRandomFaultSchedules)
         SCOPED_TRACE("seed=" + std::to_string(c.seed));
         const auto r = runChaos(c);
         expectCrashConsistent(r);
+        // The armed mid-migration kill hit an in-flight transfer.
+        EXPECT_GE(r.migrationKillsFired, 1);
+        EXPECT_EQ(r.migrationKillFallbacks, 0);
         aborts += r.migrationAborts;
         recovered += r.requestsRecovered;
         restarts += r.restartedRequeues;
@@ -475,6 +513,8 @@ TEST(ChaosSweepTest, AblationWithoutRecoveryStaysConsistent)
     expectCrashConsistent(r);
     EXPECT_EQ(r.salvagedBlocks, 0);
     EXPECT_EQ(r.migrationRetries, 0);
+    EXPECT_GE(r.migrationKillsFired, 1);
+    EXPECT_EQ(r.migrationKillFallbacks, 0);
 }
 
 TEST(ChaosSweepTest, ChaosRunsAreDeterministic)
@@ -488,6 +528,8 @@ TEST(ChaosSweepTest, ChaosRunsAreDeterministic)
         EXPECT_EQ(a.perRequest[i].latency, b.perRequest[i].latency);
     }
     EXPECT_EQ(a.hardPreemptions, b.hardPreemptions);
+    EXPECT_GE(a.migrationKillsFired, 1);
+    EXPECT_EQ(a.migrationKillsFired, b.migrationKillsFired);
     EXPECT_EQ(a.migrationAborts, b.migrationAborts);
     EXPECT_EQ(a.requestsRecovered, b.requestsRecovered);
 }

@@ -292,6 +292,287 @@ TEST(KvBlockStoreTest, BlockedLevelPublishesAfterClassmateReclaimed)
     EXPECT_EQ(store.totalLiveRefs(), 0);
 }
 
+/** Everything observable about a store and the requests it serves. */
+void
+expectSameStoreState(const engine::KvBlockStore &x,
+                     const std::vector<engine::ActiveRequest> &xs,
+                     const engine::KvBlockStore &y,
+                     const std::vector<engine::ActiveRequest> &ys)
+{
+    ASSERT_EQ(xs.size(), ys.size());
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+        SCOPED_TRACE("request " + std::to_string(xs[i].request.id));
+        EXPECT_EQ(xs[i].kvBlockIds, ys[i].kvBlockIds);
+        EXPECT_EQ(xs[i].kvPromoteCursor, ys[i].kvPromoteCursor);
+        EXPECT_EQ(xs[i].kvTailShared, ys[i].kvTailShared);
+        // The index: what a newcomer of the same class would match.
+        auto px = makeActive(99, xs[i].request.inputLen, 4,
+                             xs[i].request.prefixId, xs[i].request.prefixLen);
+        auto py = px;
+        EXPECT_EQ(x.quoteSharedBlocks(px), y.quoteSharedBlocks(py));
+    }
+    EXPECT_EQ(x.liveBlocks(), y.liveBlocks());
+    EXPECT_EQ(x.cachedBlocks(), y.cachedBlocks());
+    EXPECT_EQ(x.totalLiveRefs(), y.totalLiveRefs());
+    EXPECT_EQ(x.prefixHits(), y.prefixHits());
+    EXPECT_EQ(x.prefixMatchedTokens(), y.prefixMatchedTokens());
+    EXPECT_EQ(x.cowCopies(), y.cowCopies());
+    EXPECT_EQ(x.cachedReclaims(), y.cachedReclaims());
+    EXPECT_EQ(x.lruClock(), y.lruClock());
+}
+
+// A multi-step commit over n decode tokens leaves exactly the state of n
+// single-step commits: the same block ids (allocation order), LRU clock,
+// index entries, copy-on-write and hit counters.  The sharer appends
+// past a shared tail (CoW at its first token, for blocks of two or more
+// tokens) and crosses several block boundaries.
+TEST(KvBlockStoreTest, MultiStepCommitMatchesSingleSteps)
+{
+    const int blk = testBlockTokens();
+    const int prefix = 3 * blk / 2 + 1; // not a block multiple for blk > 1
+    auto build = [&](engine::KvBlockStore &store) {
+        std::vector<engine::ActiveRequest> rs;
+        rs.push_back(makeActive(1, 2 * blk + 5, 8, 0, prefix));
+        rs.push_back(makeActive(2, prefix, 200, 0, prefix));
+        rs.push_back(makeActive(3, blk + 3, 200, -1, 0));
+        for (auto &r : rs) {
+            store.attach(r);
+            commitTo(store, r, r.request.inputLen, 0);
+        }
+        return rs;
+    };
+    const long cap = 64 * 16 / blk;
+    engine::KvBlockStore one(cap, blk), many(cap, blk);
+    auto c = build(one);
+    auto d = build(many);
+    expectSameStoreState(one, c, many, d);
+    EXPECT_EQ(c[1].kvTailShared, blk > 1 && prefix % blk != 0);
+
+    const int n = 3 * blk + 7;
+    for (int t = 0; t < n; ++t) {
+        ++c[1].committedTokens;
+        one.commitProgress(c[1]);
+    }
+    d[1].committedTokens += n;
+    many.commitProgress(d[1], n);
+    expectSameStoreState(one, c, many, d);
+    EXPECT_EQ(one.cowCopies(), blk > 1 ? 1 : 0);
+    for (auto &r : c)
+        one.release(r);
+    for (auto &r : d)
+        many.release(r);
+    EXPECT_EQ(one.totalLiveRefs(), 0);
+    EXPECT_EQ(many.totalLiveRefs(), 0);
+}
+
+// The blocked-level scenario above, advanced by one multi-step commit:
+// the request's own allocation at a block boundary reclaims the
+// classmate's cached copy of level 0, which unblocks its own copy — the
+// commit ends with it published, exactly as single steps do.
+TEST(KvBlockStoreTest, MultiStepCommitPublishesBlockedLevelAfterReclaim)
+{
+    const int blk = testBlockTokens();
+    if (blk < 2)
+        GTEST_SKIP() << "with one token per block a level completes at its "
+                        "first token, so no level is ever blocked";
+    auto build = [&](engine::KvBlockStore &store) {
+        std::vector<engine::ActiveRequest> rs;
+        rs.push_back(makeActive(1, 2 * blk, 4, 0, 2 * blk));
+        rs.push_back(makeActive(2, 3 * blk, 100, 0, 2 * blk));
+        store.attach(rs[0]);
+        commitTo(store, rs[0], blk / 2, 0);
+        store.attach(rs[1]);
+        commitTo(store, rs[1], blk / 2, 0);
+        commitTo(store, rs[0], 2 * blk, 0);
+        commitTo(store, rs[1], 3 * blk, 0); // level 0 blocked by rs[0]
+        store.release(rs[0]);               // its level 0 is now cached
+        return rs;
+    };
+    engine::KvBlockStore single(/*capacity=*/4, blk), multi(4, blk);
+    auto a = build(single);
+    auto b = build(multi);
+    EXPECT_EQ(a[1].kvPromoteCursor, 0);
+    EXPECT_EQ(single.cachedBlocks(), 1);
+
+    // The first token crosses into a fourth level: the store is full, so
+    // the allocation reclaims the cached level 0 of rs[0].
+    const int n = blk;
+    for (int t = 0; t < n; ++t) {
+        ++a[1].committedTokens;
+        single.commitProgress(a[1]);
+    }
+    b[1].committedTokens += n;
+    multi.commitProgress(b[1], n);
+    EXPECT_EQ(single.cachedReclaims(), 1);
+    EXPECT_EQ(a[1].kvPromoteCursor, 2); // published after the reclaim
+    expectSameStoreState(single, a, multi, b);
+}
+
+// Inside a stride, a member's allocation reclaims the cached block whose
+// key kept a prefix level of R private; R's level publishes at its next
+// token, as it does one boundary at a time.  R and A prefill class 0
+// together, A publishes first (R's two levels stay private) and leaves;
+// S is admitted in A's place with the budget exactly spent, so late in
+// the R+S stride S's allocation reclaims A's level 0 and then R's own
+// reclaims A's level 1.  Admission quotes read between boundaries — at
+// every boundary, or every other one so that one settle spans a reclaim
+// and the token after it — must match one-iteration-per-event runs.
+TEST(PrefixPipelineTest, StrideReclaimPublishesAClassmateLevelOnTime)
+{
+    const int blk = 16;
+    const auto spec = model::ModelSpec::opt6_7b();
+    const cost::LatencyModel latency(spec, kParams);
+    const auto probe = makeActive(99, 48, 4, 0, 32);
+    engine::BatchingOptions batching;
+    batching.kvBlockTokens = blk;
+    batching.prefillChunkTokens = 8;
+    batching.prefixSharing = true;
+    batching.kvAdmissionMode = engine::KvAdmissionMode::Reserve;
+    batching.kvBudgetTokens = 12 * blk; // R's peak 7 + S's peak 5 blocks
+
+    struct Run
+    {
+        std::vector<double> times;   // each boundary, stepped run
+        std::vector<long> quotes;    // the quote after it
+        std::vector<long> midQuotes; // strided run, between boundaries
+        long reclaims = 0;
+        std::uint64_t events = 0;
+    };
+    auto run = [&](bool stepped, const std::vector<double> &reads) {
+        Run out;
+        sim::Simulation sim;
+        bool admitted = false;
+        engine::InferencePipeline::Callbacks cb;
+        cb.everyIteration = [stepped] { return stepped; };
+        cb.workQueued = [&admitted] { return !admitted; };
+        cb.onAdmit = [&](engine::InferencePipeline &p, int) {
+            std::vector<engine::ActiveRequest> in;
+            if (!admitted && p.batch().size() == 1) {
+                admitted = true;
+                in.push_back(makeActive(3, 24, 50, -1, 0));
+            }
+            return in;
+        };
+        cb.onBoundary = [&](const engine::InferencePipeline &p) {
+            if (!stepped)
+                return;
+            out.times.push_back(sim.now());
+            out.quotes.push_back(p.prefixQuoteBlocks(probe));
+        };
+        engine::InferencePipeline pipeline(
+            sim, latency, par::ParallelConfig{1, 1, 4, 8}, 0, cb, batching);
+        pipeline.startBatch({makeActive(1, 32, 2, 0, 32),
+                             makeActive(2, 48, 52, 0, 32)});
+        for (double t : reads) {
+            sim.schedule(t, [&] {
+                out.midQuotes.push_back(pipeline.prefixQuoteBlocks(probe));
+            });
+        }
+        sim.run();
+        out.reclaims = pipeline.kvStore()->cachedReclaims();
+        out.events = sim.eventsFired();
+        return out;
+    };
+    const Run ref = run(true, {});
+    ASSERT_GT(ref.times.size(), 2u);
+    EXPECT_EQ(ref.reclaims, 2);
+    // R's quote climbs back to 2 once both its levels are published.
+    EXPECT_EQ(ref.quotes.back(), 0); // everyone has left
+    EXPECT_EQ(*std::max_element(ref.quotes.begin() + 10, ref.quotes.end()),
+              2);
+    for (std::size_t every : {1, 2}) {
+        for (std::size_t first = 0; first < every; ++first) {
+            SCOPED_TRACE("reads every " + std::to_string(every) +
+                         " from " + std::to_string(first));
+            std::vector<double> reads;
+            std::vector<std::size_t> after;
+            for (std::size_t i = first; i + 1 < ref.times.size();
+                 i += every) {
+                reads.push_back((ref.times[i] + ref.times[i + 1]) / 2.0);
+                after.push_back(i);
+            }
+            const Run strided = run(false, reads);
+            EXPECT_EQ(strided.reclaims, 2);
+            ASSERT_EQ(strided.midQuotes.size(), reads.size());
+            for (std::size_t n = 0; n < reads.size(); ++n)
+                EXPECT_EQ(strided.midQuotes[n], ref.quotes[after[n]])
+                    << "after boundary " << after[n];
+            EXPECT_LT(strided.events - reads.size(), ref.events);
+        }
+    }
+}
+
+// Copy-on-write inside a stride happens at the sharer's first token, in
+// iteration order with the other members' allocations: block ids and
+// the LRU clock match one-iteration-per-event runs at every boundary.
+// D donates a 24-token tail, H attaches onto it with its whole input
+// matched (CoW at its first decode token) and X crosses a block at its
+// first token, ahead of H in batch order.
+TEST(PrefixPipelineTest, StrideCommitsCopyOnWriteInIterationOrder)
+{
+    const int blk = 16;
+    const auto spec = model::ModelSpec::opt6_7b();
+    const cost::LatencyModel latency(spec, kParams);
+    engine::BatchingOptions batching;
+    batching.kvBlockTokens = blk;
+    batching.prefixSharing = true;
+    auto carried = [](engine::ActiveRequest r, int committed) {
+        r.prefillTokens = r.request.inputLen;
+        r.committedTokens = committed;
+        return r;
+    };
+    struct Seen
+    {
+        std::vector<std::vector<int>> ids;
+        long clock = 0;
+        long cows = 0;
+    };
+    auto run = [&](bool stepped, const std::vector<double> &reads,
+                   std::vector<double> *times) {
+        std::vector<Seen> out;
+        sim::Simulation sim;
+        engine::InferencePipeline::Callbacks cb;
+        cb.everyIteration = [stepped] { return stepped; };
+        engine::InferencePipeline pipeline(
+            sim, latency, par::ParallelConfig{1, 1, 4, 8}, 0, cb, batching);
+        auto look = [&] {
+            Seen s;
+            for (const auto &r : pipeline.batch())
+                s.ids.push_back(r.kvBlockIds);
+            s.clock = pipeline.kvStore()->lruClock();
+            s.cows = pipeline.cowCopies();
+            out.push_back(s);
+            if (times)
+                times->push_back(sim.now());
+        };
+        pipeline.startBatch({carried(makeActive(1, 40, 60, 0, 24), 5),
+                             carried(makeActive(2, 32, 60, -1, 0), 0),
+                             makeActive(3, 24, 40, 0, 24)});
+        if (stepped) {
+            while (sim.step())
+                look();
+        }
+        for (double t : reads)
+            sim.schedule(t, look);
+        sim.run();
+        return out;
+    };
+    std::vector<double> times;
+    const auto ref = run(true, {}, &times);
+    ASSERT_GT(times.size(), 2u);
+    EXPECT_EQ(ref.front().cows, 1);
+    std::vector<double> reads;
+    for (std::size_t i = 0; i + 1 < times.size(); ++i)
+        reads.push_back((times[i] + times[i + 1]) / 2.0);
+    const auto strided = run(false, reads, nullptr);
+    ASSERT_EQ(strided.size(), reads.size());
+    for (std::size_t i = 0; i < reads.size(); ++i) {
+        EXPECT_EQ(strided[i].ids, ref[i].ids) << "after boundary " << i;
+        EXPECT_EQ(strided[i].clock, ref[i].clock) << "after boundary " << i;
+        EXPECT_EQ(strided[i].cows, ref[i].cows) << "after boundary " << i;
+    }
+}
+
 // Chunked prefill through a pipeline: the prefix levels complete over
 // several boundaries, and each is published (matchable by a classmate)
 // at the boundary its last token commits.
@@ -443,14 +724,15 @@ runPrefixSystemInvariant(const wl::Workload &workload, int chunk_tokens,
     return out;
 }
 
-TEST(PrefixSystemTest, PhysicalBlocksAndRefsInvariantAcrossChurnMatrix)
+/**
+ * Poisson, spike and long-input early-stopping workloads — each with a
+ * shared-prefix mix whose class length is deliberately NOT a block
+ * multiple, so full-level sharing, tail donation and CoW all fire.
+ */
+std::vector<wl::Workload>
+prefixWorkloads()
 {
-    // Poisson, spike and long-input early-stopping workloads — each with
-    // a shared-prefix mix whose class length is deliberately NOT a block
-    // multiple, so full-level sharing, tail donation and CoW all fire —
-    // across preemption-driven migrations, in both admission modes.
     const cost::SeqSpec seq{};
-    const int blk = testBlockTokens();
     auto poisson = [&] {
         sim::Rng rng(71);
         auto w = wl::stationaryPoisson(0.3, 900.0, seq, rng);
@@ -481,12 +763,16 @@ TEST(PrefixSystemTest, PhysicalBlocksAndRefsInvariantAcrossChurnMatrix)
                                 rng);
         return w;
     };
+    return {poisson(), spike(), longInput()};
+}
 
+TEST(PrefixSystemTest, PhysicalBlocksAndRefsInvariantAcrossChurnMatrix)
+{
+    // The prefix workloads across preemption-driven migrations, in both
+    // admission modes.
+    const int blk = testBlockTokens();
     int variant = 0;
-    for (const auto &make : {std::function<wl::Workload()>(poisson),
-                             std::function<wl::Workload()>(spike),
-                             std::function<wl::Workload()>(longInput)}) {
-        const auto workload = make();
+    for (const auto &workload : prefixWorkloads()) {
         for (int chunk : {0, 256}) {
             for (const auto mode : {engine::KvAdmissionMode::Reserve,
                                     engine::KvAdmissionMode::Optimistic}) {
@@ -509,6 +795,66 @@ TEST(PrefixSystemTest, PhysicalBlocksAndRefsInvariantAcrossChurnMatrix)
             }
         }
         ++variant;
+    }
+}
+
+// Strides over shared prefixes: replicas that advance several decode
+// iterations per event commit their KV blocks — CoW past shared tails,
+// promotions, reclaims — exactly as replicas held to one iteration per
+// event by a KV observer, on every prefix workload, chunking and
+// admission mode.
+TEST(PrefixSystemTest, StridesMatchOneIterationPerEvent)
+{
+    const auto spec = model::ModelSpec::gpt20b();
+    const cost::SeqSpec seq{};
+    const int blk = testBlockTokens();
+    auto run = [&](const wl::Workload &workload, int chunk,
+                   engine::KvAdmissionMode mode, bool observed) {
+        serving::SystemFactory factory =
+            [&](sim::Executor &exec, cluster::InstanceManager &inst,
+                serving::RequestManager &req) {
+                core::SpotServeOptions options;
+                options.designArrivalRate = 0.35;
+                options.engine.prefillChunkTokens = chunk;
+                options.engine.kvAdmissionMode = mode;
+                options.engine.kvBlockTokens = blk;
+                auto system = std::make_unique<core::SpotServeSystem>(
+                    exec, inst, req, spec, kParams, seq, options);
+                if (observed)
+                    system->setKvObserver(
+                        [](const engine::InferencePipeline &) {});
+                return system;
+            };
+        return serving::runExperiment(spec, kParams, churnTrace(), workload,
+                                      factory);
+    };
+    for (const auto &workload : prefixWorkloads()) {
+        for (int chunk : {0, 256}) {
+            for (const auto mode : {engine::KvAdmissionMode::Reserve,
+                                    engine::KvAdmissionMode::Optimistic}) {
+                SCOPED_TRACE("chunk " + std::to_string(chunk) + " mode " +
+                             engine::toString(mode));
+                const auto a = run(workload, chunk, mode, false);
+                const auto b = run(workload, chunk, mode, true);
+                ASSERT_EQ(a.perRequest.size(), b.perRequest.size());
+                for (std::size_t i = 0; i < a.perRequest.size(); ++i) {
+                    EXPECT_EQ(a.perRequest[i].id, b.perRequest[i].id);
+                    EXPECT_EQ(a.perRequest[i].latency,
+                              b.perRequest[i].latency);
+                    EXPECT_EQ(a.perRequest[i].restarts,
+                              b.perRequest[i].restarts);
+                }
+                EXPECT_EQ(a.configHistory.size(), b.configHistory.size());
+                EXPECT_GT(a.prefixHits, 0);
+                EXPECT_EQ(a.prefixHits, b.prefixHits);
+                EXPECT_EQ(a.prefixMatchedTokens, b.prefixMatchedTokens);
+                EXPECT_EQ(a.cowCopies, b.cowCopies);
+                EXPECT_EQ(a.evictions, b.evictions);
+                EXPECT_EQ(a.peakKvHeldBlocks, b.peakKvHeldBlocks);
+                EXPECT_EQ(a.peakKvPhysicalBlocks, b.peakKvPhysicalBlocks);
+                EXPECT_EQ(a.liveKvRefsAtEnd, b.liveKvRefsAtEnd);
+            }
+        }
     }
 }
 

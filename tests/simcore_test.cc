@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -213,6 +214,75 @@ TEST(EventQueueTest, TiesBreakByScheduleOrderAcrossSlotReuse)
 // spent (cancel is a no-op even once the rescheduled event reuses its
 // slot), the peer never fires, and the rescheduled event fires after
 // every event already due at that time.
+// Same-time events order by when they were scheduled, then by key.  A
+// key drawn by one keyed event and reused by a later one places the later
+// event where the first sat: ahead of a plain event scheduled in
+// between.  An event planned early takes the place of a later schedule.
+TEST(EventQueueTest, OrderKeysPlaceKeyedEventsAmongSameTimeEvents)
+{
+    EventQueue q;
+    std::vector<int> order;
+    OrderKey key = kFreshOrderKey;
+    q.scheduleOrdered(5.0, 1.0, key, [&] { order.push_back(0); });
+    ASSERT_NE(key, kFreshOrderKey);
+    const OrderKey drawn = key;
+    OrderKey plain = kFreshOrderKey;
+    q.scheduleOrdered(5.0, 1.0, plain, [&] { order.push_back(1); });
+    q.scheduleOrdered(5.0, 1.0, key, [&] { order.push_back(2); });
+    EXPECT_EQ(key, drawn);
+    q.schedule(4.0, [&] { order.push_back(3); });
+    // Scheduled first, but taken to be scheduled at t=2 (after the rest).
+    OrderKey early = kFreshOrderKey;
+    q.scheduleOrdered(5.0, 2.0, early, [&] { order.push_back(4); });
+    OrderKey late = kFreshOrderKey;
+    q.scheduleOrdered(5.0, 0.5, late, [&] { order.push_back(5); });
+    while (!q.empty())
+        q.pop().fn();
+    EXPECT_EQ(order, (std::vector<int>{3, 5, 0, 2, 1, 4}));
+}
+
+// Keys order events but never identify them: a cancelled keyed event and
+// its replacement at the same time, key and slot still carry distinct
+// ids, so the stale id cannot cancel the replacement.
+TEST(EventQueueTest, KeyedReplacementKeepsIdsUnique)
+{
+    EventQueue q;
+    OrderKey key = kFreshOrderKey;
+    bool old_fired = false, new_fired = false;
+    const EventId a =
+        q.scheduleOrdered(5.0, 0.0, key, [&] { old_fired = true; });
+    EXPECT_TRUE(q.cancel(a));
+    const EventId b =
+        q.scheduleOrdered(5.0, 0.0, key, [&] { new_fired = true; });
+    EXPECT_NE(a, b);
+    EXPECT_FALSE(q.cancel(a));
+    EXPECT_EQ(q.size(), 1u);
+    q.pop().fn();
+    EXPECT_TRUE(new_fired);
+    EXPECT_FALSE(old_fired);
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(SimulationTest, FiringOrderIsTheRunningEventsOrder)
+{
+    Simulation sim;
+    EXPECT_TRUE(sim.supportsOrderKeys());
+    OrderKey key = kFreshOrderKey;
+    EventOrder seen_keyed{}, seen_plain{};
+    sim.scheduleOrdered(1.0, 0.5, key,
+                        [&] { seen_keyed = sim.firingOrder(); });
+    sim.schedule(1.0, [&] { seen_plain = sim.firingOrder(); });
+    sim.run();
+    EXPECT_EQ(seen_keyed.after, 0.5);
+    EXPECT_EQ(seen_keyed.key, key);
+    EXPECT_EQ(seen_plain.after, 0.0); // scheduled at now() = 0
+    EXPECT_TRUE(seen_plain < seen_keyed);
+    EXPECT_EQ(sim.firingOrder().after, kTimeInfinity);
+    OrderKey past = kFreshOrderKey;
+    EXPECT_THROW(sim.scheduleOrdered(0.5, 0.0, past, [] {}),
+                 std::invalid_argument);
+}
+
 TEST(SimulationTest, CallbackCancelsAndReschedulesFromInside)
 {
     Simulation sim;

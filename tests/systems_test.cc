@@ -16,6 +16,7 @@
 #include "serving/experiment.h"
 #include "serving/presets.h"
 #include "simcore/simulation.h"
+#include "plain_order_executor.h"
 
 namespace spotserve {
 namespace {
@@ -334,9 +335,10 @@ TEST(SystemsIntegration, EverySystemBuildsPipelinesWithTheSameEngineDefaults)
 // Conservation over every library trace, model and system: each arrival
 // ends completed, rejected or unfinished exactly once, and a run that
 // leaves nothing unfinished leaks no KV block reference.
-TEST(SystemsIntegration, EveryTraceConservesRequestsAndKvRefs)
+std::vector<AvailabilityTrace>
+libraryTraces()
 {
-    const std::vector<AvailabilityTrace> traces = {
+    return {
         cluster::traceAS(),
         cluster::traceBS(),
         cluster::traceASPlusO(),
@@ -345,7 +347,11 @@ TEST(SystemsIntegration, EveryTraceConservesRequestsAndKvRefs)
         cluster::traceFig8B(),
         cluster::hardenPreemptions(cluster::traceFig8B(), 0.5, 3),
     };
-    for (const auto &trace : traces) {
+}
+
+TEST(SystemsIntegration, EveryTraceConservesRequestsAndKvRefs)
+{
+    for (const auto &trace : libraryTraces()) {
         for (const auto &spec : presets::evaluatedModels()) {
             for (const char *system : {"SpotServe", "Rerouting",
                                        "Reparallelization",
@@ -366,6 +372,176 @@ TEST(SystemsIntegration, EveryTraceConservesRequestsAndKvRefs)
                     EXPECT_EQ(r.liveKvRefsAtEnd, 0);
             }
         }
+    }
+}
+
+/** How runStableCounted drives the replicas. */
+enum class Drive
+{
+    Strides,      ///< plain Simulation
+    Observed,     ///< a no-op KV observer: one iteration per event
+    PlainOrder,   ///< no order keys: one iteration per event, as before
+};
+
+/** runStable's experiment on a caller-held Simulation; @p events
+ *  receives the events the run fired. */
+serving::ExperimentResult
+runStableCounted(const model::ModelSpec &spec, const AvailabilityTrace &trace,
+                 const std::string &system, Drive drive,
+                 std::uint64_t &events)
+{
+    const double rate = presets::stableRate(spec);
+    sim::Rng rng(7);
+    const auto workload =
+        wl::stationaryGamma(rate, 6.0, trace.duration(), kSeq, rng);
+    const auto inner =
+        presets::factoryByName(system, spec, kParams, kSeq, rate);
+    const serving::SystemFactory factory =
+        [&](sim::Executor &exec, cluster::InstanceManager &inst,
+            serving::RequestManager &req) {
+            auto sys = inner(exec, inst, req);
+            if (drive == Drive::Observed) {
+                dynamic_cast<serving::BaseServingSystem &>(*sys)
+                    .setKvObserver([](const engine::InferencePipeline &) {});
+            }
+            return sys;
+        };
+    sim::Simulation simulation;
+    PlainOrderExecutor plain(simulation);
+    sim::Executor &exec = drive == Drive::PlainOrder
+                              ? static_cast<sim::Executor &>(plain)
+                              : simulation;
+    auto r = serving::runExperimentOn(exec, spec, kParams, trace, workload,
+                                      factory);
+    events = simulation.eventsFired();
+    return r;
+}
+
+void
+expectIdenticalResults(const serving::ExperimentResult &a,
+                       const serving::ExperimentResult &b)
+{
+    ASSERT_EQ(a.perRequest.size(), b.perRequest.size());
+    for (std::size_t i = 0; i < a.perRequest.size(); ++i) {
+        SCOPED_TRACE("completion " + std::to_string(i));
+        EXPECT_EQ(a.perRequest[i].id, b.perRequest[i].id);
+        EXPECT_EQ(a.perRequest[i].arrival, b.perRequest[i].arrival);
+        EXPECT_EQ(a.perRequest[i].latency, b.perRequest[i].latency);
+        EXPECT_EQ(a.perRequest[i].restarts, b.perRequest[i].restarts);
+    }
+    EXPECT_EQ(a.latencies.samples(), b.latencies.samples());
+    ASSERT_EQ(a.configHistory.size(), b.configHistory.size());
+    for (std::size_t i = 0; i < a.configHistory.size(); ++i) {
+        EXPECT_EQ(a.configHistory[i].time, b.configHistory[i].time);
+        EXPECT_EQ(a.configHistory[i].config, b.configHistory[i].config);
+        EXPECT_EQ(a.configHistory[i].reason, b.configHistory[i].reason);
+    }
+    EXPECT_EQ(a.arrived, b.arrived);
+    EXPECT_EQ(a.completed, b.completed);
+    EXPECT_EQ(a.unfinished, b.unfinished);
+    EXPECT_EQ(a.rejected, b.rejected);
+    EXPECT_EQ(a.tokensGenerated, b.tokensGenerated);
+    EXPECT_EQ(a.costUsd, b.costUsd);
+    EXPECT_EQ(a.spotInstanceHours, b.spotInstanceHours);
+    EXPECT_EQ(a.ondemandInstanceHours, b.ondemandInstanceHours);
+    EXPECT_EQ(a.peakKvReservedTokens, b.peakKvReservedTokens);
+    EXPECT_EQ(a.peakKvHeldTokens, b.peakKvHeldTokens);
+    EXPECT_EQ(a.peakKvHeldBlocks, b.peakKvHeldBlocks);
+    EXPECT_EQ(a.peakKvPhysicalBlocks, b.peakKvPhysicalBlocks);
+    EXPECT_EQ(a.prefixHits, b.prefixHits);
+    EXPECT_EQ(a.prefixMatchedTokens, b.prefixMatchedTokens);
+    EXPECT_EQ(a.cowCopies, b.cowCopies);
+    EXPECT_EQ(a.savedPrefillSeconds, b.savedPrefillSeconds);
+    EXPECT_EQ(a.peakConcurrentRequests, b.peakConcurrentRequests);
+    EXPECT_EQ(a.evictions, b.evictions);
+    EXPECT_EQ(a.evictedWorkSeconds, b.evictedWorkSeconds);
+    EXPECT_EQ(a.migrationsCompleted, b.migrationsCompleted);
+    EXPECT_EQ(a.migrationMakespanTotal, b.migrationMakespanTotal);
+    EXPECT_EQ(a.contendedMigrations, b.contendedMigrations);
+    EXPECT_EQ(a.hardPreemptions, b.hardPreemptions);
+    EXPECT_EQ(a.migrationAborts, b.migrationAborts);
+    EXPECT_EQ(a.migrationRetries, b.migrationRetries);
+    EXPECT_EQ(a.requestsRecovered, b.requestsRecovered);
+    EXPECT_EQ(a.salvagedBlocks, b.salvagedBlocks);
+    EXPECT_EQ(a.restartedRequeues, b.restartedRequeues);
+    EXPECT_EQ(a.migrationKillsFired, b.migrationKillsFired);
+    EXPECT_EQ(a.migrationKillFallbacks, b.migrationKillFallbacks);
+    EXPECT_EQ(a.liveKvRefsAtEnd, b.liveKvRefsAtEnd);
+}
+
+// Strides change no decision.  Each library trace x model x system runs
+// plain (replicas advance several iterations per event), with a no-op
+// KV observer attached (one iteration per event under the same order
+// keys), and on an executor without order keys (one iteration per
+// event in schedule order): every result field must match, down to
+// completion order, and the plain run must fire fewer events.
+TEST(SystemsIntegration, StridesMatchOneIterationPerEvent)
+{
+    for (const auto &trace : libraryTraces()) {
+        for (const auto &spec : presets::evaluatedModels()) {
+            for (const char *system : {"SpotServe", "Rerouting",
+                                       "Reparallelization",
+                                       "SpotServe-sync"}) {
+                SCOPED_TRACE(trace.name() + " / " + spec.name() + " / " +
+                             system);
+                std::uint64_t strided = 0, stepped = 0, plain = 0;
+                const auto a = runStableCounted(spec, trace, system,
+                                                Drive::Strides, strided);
+                const auto b = runStableCounted(spec, trace, system,
+                                                Drive::Observed, stepped);
+                const auto c = runStableCounted(spec, trace, system,
+                                                Drive::PlainOrder, plain);
+                expectIdenticalResults(a, b);
+                expectIdenticalResults(a, c);
+                EXPECT_LT(strided, stepped);
+                EXPECT_EQ(stepped, plain);
+            }
+        }
+    }
+}
+
+// A horizon that cuts strides: runExperimentOn settles every replica at
+// run end, so the peaks include the boundaries before the horizon.  Four
+// requests arrive together on a steady cluster and the run stops two
+// seconds into their decode, while every replica's KV holding still grows.
+TEST(SystemsIntegration, StridesCutByTheHorizonSettleTheirPeaks)
+{
+    const auto spec = model::ModelSpec::opt6_7b();
+    const auto trace = steadyTrace(4, 600.0);
+    wl::Workload workload;
+    for (int i = 0; i < 4; ++i) {
+        wl::Request r;
+        r.id = i + 1;
+        r.arrival = 300.0;
+        workload.push_back(r);
+    }
+    serving::ExperimentOptions options;
+    options.drainTimeout = 302.0 - trace.duration();
+    for (const char *system : {"SpotServe", "Rerouting"}) {
+        SCOPED_TRACE(system);
+        const auto inner = presets::factoryByName(
+            system, spec, kParams, kSeq, presets::stableRate(spec));
+        auto run = [&](bool observed) {
+            const serving::SystemFactory factory =
+                [&](sim::Executor &exec, cluster::InstanceManager &inst,
+                    serving::RequestManager &req) {
+                    auto sys = inner(exec, inst, req);
+                    if (observed) {
+                        dynamic_cast<serving::BaseServingSystem &>(*sys)
+                            .setKvObserver(
+                                [](const engine::InferencePipeline &) {});
+                    }
+                    return sys;
+                };
+            return serving::runExperiment(spec, kParams, trace, workload,
+                                          factory, options);
+        };
+        const auto a = run(false);
+        const auto b = run(true);
+        EXPECT_EQ(a.unfinished, 4);
+        // One request per replica, tens of tokens into its decode.
+        EXPECT_GT(a.peakKvHeldTokens, 512 + 10);
+        expectIdenticalResults(a, b);
     }
 }
 
