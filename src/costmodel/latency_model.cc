@@ -100,31 +100,6 @@ LatencyModel::decodeIterTime(const par::ParallelConfig &config,
     return weight_read + kv_read + comm + pipe + kernels;
 }
 
-LatencyModel::DecodeSteps
-LatencyModel::decodeSteps(const par::ParallelConfig &config) const
-{
-    const int tp = config.tp;
-    const int pp = config.pp;
-    const int layers = spec_.numLayers();
-    const double batch_derate =
-        1.0 + params_.batchMemPenalty * (config.batch - 1);
-    const double eff_bw =
-        params_.gpu.memBandwidth * memEfficiency(tp) / batch_derate;
-
-    // decodeIterTime's terms, kvReadTime's split around the context
-    // length; at() adds them in decodeIterTime's order.
-    DecodeSteps steps;
-    steps.weightRead_ = spec_.totalWeightBytes() / (tp * eff_bw);
-    steps.kvPerCtx_ = config.batch * spec_.kvBytesPerToken();
-    steps.kvDivisor_ = config.tp * eff_bw;
-    const double act_bytes =
-        static_cast<double>(config.batch) * spec_.hiddenDim() * 2.0;
-    steps.comm_ = 2.0 * layers * allReduceTime(tp, act_bytes);
-    steps.pipe_ = (pp - 1) * p2pTime(config, act_bytes);
-    steps.kernels_ = layers * params_.kernelOverhead;
-    return steps;
-}
-
 double
 LatencyModel::prefillTime(const par::ParallelConfig &config,
                           int input_len) const

@@ -57,35 +57,6 @@ class LatencyModel
                           int ctx_len) const;
 
     /**
-     * decodeIterTime for one configuration at any context length, with
-     * the terms that do not depend on it computed once: at(ctx) performs
-     * the same floating-point operations as decodeIterTime, so it returns
-     * the identical double (costmodel_test pins this).  Engines planning
-     * many iterations ahead use it; decodeIterTime keeps its own body
-     * because the planning path calls it per candidate.
-     */
-    class DecodeSteps
-    {
-      public:
-        /** decodeIterTime(config, @p ctx_len); @pre ctx_len >= 1. */
-        double at(int ctx_len) const
-        {
-            const double kv_read = kvPerCtx_ * ctx_len / kvDivisor_;
-            return weightRead_ + kv_read + comm_ + pipe_ + kernels_;
-        }
-
-      private:
-        friend class LatencyModel;
-        double weightRead_ = 0.0;
-        double kvPerCtx_ = 0.0;
-        double kvDivisor_ = 1.0;
-        double comm_ = 0.0;
-        double pipe_ = 0.0;
-        double kernels_ = 0.0;
-    };
-    DecodeSteps decodeSteps(const par::ParallelConfig &config) const;
-
-    /**
      * Time to stream @p ctx_len KV-cache tokens for each of @p batch
      * requests at the batch-derated effective bandwidth.  The shared
      * cache-traffic term of decodeIterTime and the chunked-prefill

@@ -648,9 +648,9 @@ InferencePipeline::scheduleStep()
         if (k > 1) {
             par::ParallelConfig decode = config_;
             decode.batch = decoders;
-            const auto steps = latency_.decodeSteps(decode);
             for (long i = 1; i < k; ++i) {
-                end += steps.at(max_ctx + static_cast<int>(i));
+                end += latency_.decodeIterTime(
+                    decode, max_ctx + static_cast<int>(i));
                 strideEnds_.push_back(end);
             }
         }

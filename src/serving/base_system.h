@@ -118,14 +118,6 @@ class BaseServingSystem : public ServingSystem
     long liveKvRefs() const;
 
     /**
-     * Commit every live replica's planned iterations up to now (see
-     * InferencePipeline::settle).  The peak and prefix totals below are
-     * accumulated at boundaries, so a driver calls this after
-     * run(until) before reading them; runExperimentOn does.
-     */
-    void settlePipelines() const;
-
-    /**
      * Observer forwarded to every pipeline's iteration-boundary callback
      * (tests assert the KV-budget invariant here; benches sample peaks).
      * While one is set, replicas run one iteration per event, so it sees
@@ -144,36 +136,80 @@ class BaseServingSystem : public ServingSystem
     void setTokenObserver(
         std::function<void(const engine::ActiveRequest &)> observer);
 
+    // The totals below count every boundary at or before now(): each
+    // getter first settles the replicas' planned iterations.
+
     /** Largest KV holding any replica reached at a boundary (tokens). */
-    long peakKvHeldTokens() const { return peakKvHeldTokens_; }
+    long peakKvHeldTokens() const
+    {
+        settlePipelines();
+        return peakKvHeldTokens_;
+    }
     /** Largest worst-case KV reservation any replica reached (tokens). */
-    long peakKvReservedTokens() const { return peakKvReservedTokens_; }
+    long peakKvReservedTokens() const
+    {
+        settlePipelines();
+        return peakKvReservedTokens_;
+    }
     /** Largest KV holding any replica reached at a boundary, in whole
      *  KV blocks (per-request ceil rounding — what a paged allocator
      *  would really have handed out).  Logical: shared prefix blocks
      *  count once per referencing request. */
-    long peakKvHeldBlocks() const { return peakKvHeldBlocks_; }
+    long peakKvHeldBlocks() const
+    {
+        settlePipelines();
+        return peakKvHeldBlocks_;
+    }
     /** Largest *physical* (deduplicated) block holding any replica
      *  reached at a boundary.  Equals peakKvHeldBlocks without prefix
      *  sharing; strictly smaller whenever prefixes were shared. */
-    long peakKvPhysicalBlocks() const { return peakKvPhysicalBlocks_; }
+    long peakKvPhysicalBlocks() const
+    {
+        settlePipelines();
+        return peakKvPhysicalBlocks_;
+    }
     /** Prefix-cache hits across all pipelines (attaches that matched). */
-    long prefixHitsTotal() const { return prefixHitsTotal_; }
+    long prefixHitsTotal() const
+    {
+        settlePipelines();
+        return prefixHitsTotal_;
+    }
     /** Prefix tokens whose prefill compute was skipped, total. */
-    long prefixMatchedTokensTotal() const { return prefixMatchedTokensTotal_; }
+    long prefixMatchedTokensTotal() const
+    {
+        settlePipelines();
+        return prefixMatchedTokensTotal_;
+    }
     /** Copy-on-write block copies across all pipelines. */
-    long cowCopiesTotal() const { return cowCopiesTotal_; }
+    long cowCopiesTotal() const
+    {
+        settlePipelines();
+        return cowCopiesTotal_;
+    }
     /** Prefill seconds skipped thanks to prefix hits (LatencyModel). */
     double savedPrefillSecondsTotal() const
     {
+        settlePipelines();
         return savedPrefillSecondsTotal_;
     }
     /** Largest live batch any replica reached at a boundary (requests). */
-    int peakConcurrentRequests() const { return peakConcurrentRequests_; }
+    int peakConcurrentRequests() const
+    {
+        settlePipelines();
+        return peakConcurrentRequests_;
+    }
     /** Requests evicted by optimistic admission across all pipelines. */
-    long evictionsTotal() const { return evictionsTotal_; }
+    long evictionsTotal() const
+    {
+        settlePipelines();
+        return evictionsTotal_;
+    }
     /** Committed work (seconds to recompute) those evictions discarded. */
-    double evictedWorkSeconds() const { return evictedWorkSeconds_; }
+    double evictedWorkSeconds() const
+    {
+        settlePipelines();
+        return evictedWorkSeconds_;
+    }
 
   protected:
     /** Active deployment: configuration, mesh, one pipeline per replica. */
@@ -238,6 +274,13 @@ class BaseServingSystem : public ServingSystem
      */
     virtual void forEachPipeline(
         const std::function<void(engine::InferencePipeline &)> &fn) const;
+
+    /**
+     * Commit every live replica's planned iterations up to now (see
+     * InferencePipeline::settle).  The peak and prefix totals are
+     * accumulated at boundaries, so their getters call this first.
+     */
+    void settlePipelines() const;
 
     /** Give replica @p pipeline_idx a recovered batch and start it. */
     void loadBatch(int pipeline_idx,

@@ -60,9 +60,6 @@ runExperimentOn(sim::Executor &executor, const model::ModelSpec &spec,
 
     const sim::SimTime horizon = trace.duration() + options.drainTimeout;
     executor.run(horizon);
-    if (const auto *base =
-            dynamic_cast<const BaseServingSystem *>(system.get()))
-        base->settlePipelines();
 
     ExperimentResult result;
     result.systemName = system->name();

@@ -240,27 +240,6 @@ TEST(LatencyModelTest, DecodeMonotoneInContext)
     }
 }
 
-// The engine plans decode strides with DecodeSteps; every iteration end
-// must be the very double decodeIterTime gives, or modelled times drift.
-TEST(LatencyModelTest, DecodeStepsEqualDecodeIterTimeBitForBit)
-{
-    for (const auto &spec : {ModelSpec::opt6_7b(), ModelSpec::gpt20b()}) {
-        const LatencyModel lat(spec, kParams);
-        for (const ParallelConfig &base :
-             {ParallelConfig{1, 1, 4, 8}, ParallelConfig{2, 2, 2, 4},
-              ParallelConfig{1, 3, 8, 16}, ParallelConfig{1, 2, 16, 1}}) {
-            for (int batch = 1; batch <= base.batch; ++batch) {
-                ParallelConfig c = base;
-                c.batch = batch;
-                const auto steps = lat.decodeSteps(c);
-                for (int ctx = 1; ctx <= 4096; ctx += 37)
-                    ASSERT_EQ(steps.at(ctx), lat.decodeIterTime(c, ctx))
-                        << spec.name() << " " << c.str() << " ctx " << ctx;
-            }
-        }
-    }
-}
-
 TEST(LatencyModelTest, DecodeSlowerWithBiggerBatch)
 {
     LatencyModel lat(ModelSpec::gpt20b(), kParams);

@@ -33,6 +33,7 @@
 #include "serving/experiment.h"
 #include "serving/request_manager.h"
 #include "simcore/simulation.h"
+#include "plain_order_executor.h"
 #include "workload/workload.h"
 
 namespace spotserve {
@@ -800,16 +801,26 @@ TEST(PrefixSystemTest, PhysicalBlocksAndRefsInvariantAcrossChurnMatrix)
 
 // Strides over shared prefixes: replicas that advance several decode
 // iterations per event commit their KV blocks — CoW past shared tails,
-// promotions, reclaims — exactly as replicas held to one iteration per
-// event by a KV observer, on every prefix workload, chunking and
-// admission mode.
+// promotions, reclaims — exactly as replicas run one iteration per event,
+// on every prefix workload, chunking and admission mode.  Two references:
+// a KV observer holds the replicas to one iteration per event on the
+// ordered Simulation, and an executor without order keys runs every
+// event in plain schedule order, as the engine did before strides.
+enum class PrefixDrive
+{
+    Strides,
+    Observed,
+    PlainOrder,
+};
+
 TEST(PrefixSystemTest, StridesMatchOneIterationPerEvent)
 {
     const auto spec = model::ModelSpec::gpt20b();
     const cost::SeqSpec seq{};
     const int blk = testBlockTokens();
     auto run = [&](const wl::Workload &workload, int chunk,
-                   engine::KvAdmissionMode mode, bool observed) {
+                   engine::KvAdmissionMode mode, PrefixDrive drive,
+                   std::uint64_t &events) {
         serving::SystemFactory factory =
             [&](sim::Executor &exec, cluster::InstanceManager &inst,
                 serving::RequestManager &req) {
@@ -820,13 +831,38 @@ TEST(PrefixSystemTest, StridesMatchOneIterationPerEvent)
                 options.engine.kvBlockTokens = blk;
                 auto system = std::make_unique<core::SpotServeSystem>(
                     exec, inst, req, spec, kParams, seq, options);
-                if (observed)
+                if (drive == PrefixDrive::Observed)
                     system->setKvObserver(
                         [](const engine::InferencePipeline &) {});
                 return system;
             };
-        return serving::runExperiment(spec, kParams, churnTrace(), workload,
-                                      factory);
+        sim::Simulation simulation;
+        PlainOrderExecutor plain(simulation);
+        sim::Executor &exec = drive == PrefixDrive::PlainOrder
+                                  ? static_cast<sim::Executor &>(plain)
+                                  : simulation;
+        auto result = serving::runExperimentOn(exec, spec, kParams,
+                                               churnTrace(), workload,
+                                               factory);
+        events = simulation.eventsFired();
+        return result;
+    };
+    auto expectSame = [](const serving::ExperimentResult &a,
+                         const serving::ExperimentResult &b) {
+        ASSERT_EQ(a.perRequest.size(), b.perRequest.size());
+        for (std::size_t i = 0; i < a.perRequest.size(); ++i) {
+            EXPECT_EQ(a.perRequest[i].id, b.perRequest[i].id);
+            EXPECT_EQ(a.perRequest[i].latency, b.perRequest[i].latency);
+            EXPECT_EQ(a.perRequest[i].restarts, b.perRequest[i].restarts);
+        }
+        EXPECT_EQ(a.configHistory.size(), b.configHistory.size());
+        EXPECT_EQ(a.prefixHits, b.prefixHits);
+        EXPECT_EQ(a.prefixMatchedTokens, b.prefixMatchedTokens);
+        EXPECT_EQ(a.cowCopies, b.cowCopies);
+        EXPECT_EQ(a.evictions, b.evictions);
+        EXPECT_EQ(a.peakKvHeldBlocks, b.peakKvHeldBlocks);
+        EXPECT_EQ(a.peakKvPhysicalBlocks, b.peakKvPhysicalBlocks);
+        EXPECT_EQ(a.liveKvRefsAtEnd, b.liveKvRefsAtEnd);
     };
     for (const auto &workload : prefixWorkloads()) {
         for (int chunk : {0, 256}) {
@@ -834,25 +870,24 @@ TEST(PrefixSystemTest, StridesMatchOneIterationPerEvent)
                                     engine::KvAdmissionMode::Optimistic}) {
                 SCOPED_TRACE("chunk " + std::to_string(chunk) + " mode " +
                              engine::toString(mode));
-                const auto a = run(workload, chunk, mode, false);
-                const auto b = run(workload, chunk, mode, true);
-                ASSERT_EQ(a.perRequest.size(), b.perRequest.size());
-                for (std::size_t i = 0; i < a.perRequest.size(); ++i) {
-                    EXPECT_EQ(a.perRequest[i].id, b.perRequest[i].id);
-                    EXPECT_EQ(a.perRequest[i].latency,
-                              b.perRequest[i].latency);
-                    EXPECT_EQ(a.perRequest[i].restarts,
-                              b.perRequest[i].restarts);
-                }
-                EXPECT_EQ(a.configHistory.size(), b.configHistory.size());
+                std::uint64_t strided = 0, stepped = 0, plain = 0;
+                const auto a = run(workload, chunk, mode,
+                                   PrefixDrive::Strides, strided);
+                const auto b = run(workload, chunk, mode,
+                                   PrefixDrive::Observed, stepped);
+                const auto c = run(workload, chunk, mode,
+                                   PrefixDrive::PlainOrder, plain);
                 EXPECT_GT(a.prefixHits, 0);
-                EXPECT_EQ(a.prefixHits, b.prefixHits);
-                EXPECT_EQ(a.prefixMatchedTokens, b.prefixMatchedTokens);
-                EXPECT_EQ(a.cowCopies, b.cowCopies);
-                EXPECT_EQ(a.evictions, b.evictions);
-                EXPECT_EQ(a.peakKvHeldBlocks, b.peakKvHeldBlocks);
-                EXPECT_EQ(a.peakKvPhysicalBlocks, b.peakKvPhysicalBlocks);
-                EXPECT_EQ(a.liveKvRefsAtEnd, b.liveKvRefsAtEnd);
+                {
+                    SCOPED_TRACE("KV observer");
+                    expectSame(a, b);
+                }
+                {
+                    SCOPED_TRACE("plain schedule order");
+                    expectSame(a, c);
+                }
+                EXPECT_LT(strided, stepped);
+                EXPECT_EQ(stepped, plain);
             }
         }
     }

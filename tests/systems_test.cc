@@ -500,8 +500,9 @@ TEST(SystemsIntegration, StridesMatchOneIterationPerEvent)
     }
 }
 
-// A horizon that cuts strides: runExperimentOn settles every replica at
-// run end, so the peaks include the boundaries before the horizon.  Four
+// A horizon that cuts strides: the peak getters settle every replica
+// first, so the peaks read after the run include the boundaries before
+// the horizon.  Four
 // requests arrive together on a steady cluster and the run stops two
 // seconds into their decode, while every replica's KV holding still grows.
 TEST(SystemsIntegration, StridesCutByTheHorizonSettleTheirPeaks)
