@@ -129,7 +129,7 @@ ReroutingSystem::dropSlotsUsing(cluster::InstanceId id)
         // The preemption hangs the whole pipeline: interrupted requests
         // are rerouted and recomputed from the beginning.
         if (slot.pipeline) {
-            slot.pipeline->haltNow();
+            haltPipelineNow(*slot.pipeline);
             restartAndRequeue(slot.pipeline->takeBatch());
         }
         for (cluster::InstanceId m : slot.members) {

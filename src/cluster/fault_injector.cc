@@ -84,9 +84,11 @@ FaultInjector::fireMigrationKill(const cluster::FaultEvent &event,
     }
     if (victim >= 0 && instances_.hardPreemptInstance(victim)) {
         ++migrationKillsFired_;
-        sim::logDebug("t=" + std::to_string(sim_.now()) +
-                      " fault injector: mid-migration kill of instance " +
-                      std::to_string(victim));
+        if (sim::logEnabled(sim::LogLevel::Debug)) {
+            sim::logDebug("t=" + std::to_string(sim_.now()) +
+                          " fault injector: mid-migration kill of instance " +
+                          std::to_string(victim));
+        }
         return;
     }
     // Nothing in flight yet: defer until a migration starts, so the

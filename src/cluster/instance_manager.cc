@@ -218,8 +218,10 @@ InstanceManager::fireReady(InstanceId id)
     if (!inst || inst->state() != InstanceState::Provisioning)
         return; // Released while provisioning.
     inst->markRunning(sim_.now());
-    sim::logDebug("t=" + std::to_string(sim_.now()) + " " + inst->str() +
-                  " ready");
+    if (sim::logEnabled(sim::LogLevel::Debug)) {
+        sim::logDebug("t=" + std::to_string(sim_.now()) + " " +
+                      inst->str() + " ready");
+    }
     if (listener_)
         listener_->onInstanceReady(*inst);
 }
@@ -288,8 +290,10 @@ InstanceManager::hardPreemptInstance(InstanceId id)
     // An instance already in its grace period simply dies early.
     inst->markPreempted(sim_.now());
     ++hardPreemptions_;
-    sim::logDebug("t=" + std::to_string(sim_.now()) + " " + inst->str() +
-                  " hard-preempted (no notice)");
+    if (sim::logEnabled(sim::LogLevel::Debug)) {
+        sim::logDebug("t=" + std::to_string(sim_.now()) + " " +
+                      inst->str() + " hard-preempted (no notice)");
+    }
     if (listener_)
         listener_->onInstancePreempted(*inst);
     return true;

@@ -693,11 +693,11 @@ SpotServeSystem::beginReconfig(const par::ParallelConfig &target,
             continue; // kept replicas serve straight through
         if (!options_.enableArranger) {
             // Ablated: suspend immediately; in-flight work is lost.
-            p->haltNow();
+            haltPipelineNow(*p);
             continue;
         }
         if (!p->executing()) {
-            p->haltAfter(0);
+            haltPipeline(*p, 0);
             continue;
         }
         int iters = 0;
@@ -721,7 +721,7 @@ SpotServeSystem::beginReconfig(const par::ParallelConfig &target,
                 pending_->plan.totalDuration);
             iters = a.iterations;
         }
-        p->haltAfter(iters);
+        haltPipeline(*p, iters);
     }
     arrangingHalts_ = false;
     if (pending_ && pending_->waitingHalts <= 0)

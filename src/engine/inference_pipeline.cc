@@ -729,23 +729,43 @@ InferencePipeline::cutStride()
     scheduleStrideEnd();
 }
 
-void
-InferencePipeline::commitElapsed()
+std::size_t
+InferencePipeline::firstPendingBoundary() const
 {
     // A boundary precedes the firing event when it is earlier, or at the
     // same time in a smaller EventOrder, as its own event would have
-    // been.  The stride's last boundary is its event's to run.
+    // been.  Ends rise with the index, so those form a prefix.  The
+    // stride's last boundary is its event's to run.
     const sim::SimTime now = sim_.now();
-    if (strideEnds_[strideDone_] > now)
-        return;
-    const sim::EventOrder firing = sim_.firingOrder();
-    std::size_t m = strideDone_;
-    while (m < strideStop_ &&
-           (strideEnds_[m] < now ||
-            (strideEnds_[m] == now &&
-             sim::EventOrder{strideAfter(m), orderKey_} < firing)))
-        ++m;
-    commitIterations(m - strideDone_);
+    const auto ends = strideEnds_.begin();
+    auto m = static_cast<std::size_t>(
+        std::lower_bound(ends + static_cast<long>(strideDone_),
+                         ends + static_cast<long>(strideStop_), now) -
+        ends);
+    if (m < strideStop_ && strideEnds_[m] == now) {
+        const sim::EventOrder firing = sim_.firingOrder();
+        while (m < strideStop_ && strideEnds_[m] == now &&
+               sim::EventOrder{strideAfter(m), orderKey_} < firing)
+            ++m;
+    }
+    return m;
+}
+
+void
+InferencePipeline::commitElapsed()
+{
+    commitIterations(firstPendingBoundary() - strideDone_);
+}
+
+std::optional<InferencePipeline::NextBoundary>
+InferencePipeline::nextBoundary() const
+{
+    if (pendingEvent_ == sim::kInvalidEventId)
+        return std::nullopt;
+    const std::size_t m = firstPendingBoundary();
+    return NextBoundary{strideEnds_[m],
+                        sim::EventOrder{strideAfter(m), orderKey_},
+                        m < strideStop_};
 }
 
 void

@@ -52,6 +52,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "costmodel/latency_model.h"
@@ -172,9 +173,12 @@ class InferencePipeline
         /**
          * Queried when a step is planned while the batch has a free
          * slot: true when onAdmit could return work at the next
-         * boundary.  Unset: true whenever onAdmit is set.  An owner
-         * that answers false must call cutStride() when work is queued
-         * later, so the next boundary admits it.
+         * boundary, which then runs as its own event.  Unset: true
+         * whenever onAdmit is set.  An owner that answers false keeps
+         * queued work reachable itself: when work is queued later it
+         * cuts, among its replicas that could admit it, the one whose
+         * nextBoundary() comes first, and each admission that leaves
+         * work queued cuts the next one (serving::BaseServingSystem).
          */
         std::function<bool()> workQueued;
         /** The whole batch completed; the pipeline is Idle again. */
@@ -261,10 +265,29 @@ class InferencePipeline
     /**
      * End the planned stride at its next boundary, which then runs in
      * full and plans again with the callbacks' current answers.  The
-     * owner calls this when work is queued that the batch could admit,
-     * or when it attaches an observer of every iteration.
+     * owner calls this on the one replica whose boundary is to admit
+     * queued work (the first by nextBoundary()), or on every replica
+     * when it attaches an observer of every iteration.
      */
     void cutStride();
+
+    /** Where the next boundary of a planned step lies. */
+    struct NextBoundary
+    {
+        sim::SimTime time;
+        /** Its place among events due at the same time. */
+        sim::EventOrder order;
+        /** A plain boundary inside a stride: it runs as its own event
+         *  only once cutStride() is called. */
+        bool strided;
+    };
+
+    /**
+     * The planned step's first boundary after the firing event (after
+     * run(until): after now()), read without settling.  nullopt while
+     * no step is planned: idle, halted, or inside its own boundary.
+     */
+    std::optional<NextBoundary> nextBoundary() const;
 
     /**
      * Commit the stride iterations whose boundary precedes the firing
@@ -472,6 +495,9 @@ class InferencePipeline
     void onBoundary();
     /** settle(): commit the stride boundaries preceding the firing event. */
     void commitElapsed();
+    /** Index of the first stride boundary that does not precede the
+     *  firing event (strideStop_ when all before it do). */
+    std::size_t firstPendingBoundary() const;
     /** Commit @p n plain decode boundaries of the stride. */
     void commitIterations(std::size_t n);
     /** Advance the store over @p n decode tokens of every member, in the

@@ -24,7 +24,7 @@ BaseServingSystem::BaseServingSystem(sim::Executor &executor,
             "BaseServingSystem: kvBlockTokens must be >= 1 token");
     requests_.setQueuedObserver([this] {
         if (!dealingArrival_)
-            cutStridesForQueuedWork();
+            cutStrideForQueuedWork();
     });
 }
 
@@ -46,12 +46,47 @@ BaseServingSystem::forEachPipeline(
 }
 
 void
-BaseServingSystem::cutStridesForQueuedWork()
+BaseServingSystem::cutStrideForQueuedWork()
 {
-    forEachPipeline([](engine::InferencePipeline &p) {
-        if (p.executing() && p.freeSlots() > 0)
-            p.cutStride();
+    // Invariant while work is queued: of the replicas that could admit
+    // it (executing, no halt pending, a free slot), the one whose next
+    // boundary comes first runs that boundary as its own event.  That
+    // boundary admits exactly what it would with every boundary an
+    // event; one that leaves work queued calls here again.  A replica
+    // inside its own boundary has no planned step and is skipped: it
+    // plans one iteration next while work is queued.  Without order
+    // keys every boundary is an event already.
+    if (requests_.pendingEmpty() || !sim_.supportsOrderKeys())
+        return;
+    engine::InferencePipeline *first = nullptr;
+    engine::InferencePipeline::NextBoundary at{};
+    forEachPipeline([&](engine::InferencePipeline &p) {
+        if (!p.executing() || p.haltPending() || p.freeSlots() == 0)
+            return;
+        const auto next = p.nextBoundary();
+        if (next && (!first || next->time < at.time ||
+                     (next->time == at.time && next->order < at.order))) {
+            first = &p;
+            at = *next;
+        }
     });
+    if (first && at.strided)
+        first->cutStride();
+}
+
+void
+BaseServingSystem::haltPipeline(engine::InferencePipeline &pipeline,
+                                int iterations)
+{
+    pipeline.haltAfter(iterations);
+    cutStrideForQueuedWork();
+}
+
+void
+BaseServingSystem::haltPipelineNow(engine::InferencePipeline &pipeline)
+{
+    pipeline.haltNow();
+    cutStrideForQueuedWork();
 }
 
 void
@@ -82,22 +117,28 @@ BaseServingSystem::rejectUnservableHeads(long budget_blocks, int block_tokens)
     long rejected = 0;
     while (!requests_.pendingEmpty()) {
         const engine::ActiveRequest &head = requests_.pending().front();
+        const long peak = head.kvPeakBlocks(block_tokens);
+        if (peak <= budget_blocks)
+            break;
         // A head that fits *because* of prefix sharing is servable: its
         // physical peak shrinks by the matched-and-live shared blocks
-        // some replica already holds.  Restarted heads stay undiscounted
-        // (the eviction-storm guard — they must fit worst case alone).
-        const long discount = (engine_.prefixSharing && head.restarts == 0)
-                                  ? bestPrefixDiscount(head)
-                                  : 0;
-        if (head.kvPeakBlocks(block_tokens) - discount <= budget_blocks)
+        // some replica already holds.  Only a head that carries a prefix
+        // can match any, and the quote settles every replica, so it is
+        // taken only here.  Restarted heads stay undiscounted (the
+        // eviction-storm guard — they must fit worst case alone).
+        if (sharesPrefix(head) &&
+            peak - bestPrefixDiscount(head) <= budget_blocks)
             break;
         // Even an empty replica cannot host this request: reject it
         // rather than letting it head-block the strict-FIFO queue.
         const wl::RequestId id = requests_.rejectHead();
-        sim::logWarn(name() + ": rejecting request " + std::to_string(id) +
-                     " (KV peak exceeds the replica budget " +
-                     std::to_string(budget_blocks) + " blocks of " +
-                     std::to_string(block_tokens) + " tokens)");
+        if (sim::logEnabled(sim::LogLevel::Warn)) {
+            sim::logWarn(name() + ": rejecting request " +
+                         std::to_string(id) +
+                         " (KV peak exceeds the replica budget " +
+                         std::to_string(budget_blocks) + " blocks of " +
+                         std::to_string(block_tokens) + " tokens)");
+        }
         ++rejected;
     }
     return rejected;
@@ -154,8 +195,7 @@ BaseServingSystem::onRequestArrival(const wl::Request &request)
     dealingArrival_ = true;
     handleArrival(request);
     dealingArrival_ = false;
-    if (!requests_.pendingEmpty())
-        cutStridesForQueuedWork();
+    cutStrideForQueuedWork();
 }
 
 void
@@ -353,6 +393,8 @@ BaseServingSystem::installDeployment(
         dep.pipelines.push_back(makePipeline(config, d));
     }
     deployment_ = std::move(dep);
+    // Carried replicas may be mid-stride and able to admit queued work.
+    cutStrideForQueuedWork();
 
     // Every mapped GPU's context daemon now holds its position's model
     // context (migration/cold load completed before activation).
@@ -439,7 +481,7 @@ BaseServingSystem::dispatchAll()
         const long head_charge = requests_.headKvCharge(mode, blk);
         const engine::ActiveRequest &head = requests_.pending().front();
         std::vector<long> quote(ready.size(), 0);
-        if (engine_.prefixSharing && head.restarts == 0) {
+        if (sharesPrefix(head)) {
             for (std::size_t i = 0; i < ready.size(); ++i)
                 quote[i] = ready[i]->prefixQuoteBlocks(head);
         }
@@ -503,6 +545,7 @@ BaseServingSystem::removePipeline(int idx)
     p->haltNow();
     auto batch = p->takeBatch();
     p.reset();
+    cutStrideForQueuedWork();
     return batch;
 }
 
@@ -531,8 +574,10 @@ BaseServingSystem::recordConfig(const par::ParallelConfig &config,
                                 const std::string &reason)
 {
     history_.push_back(ConfigChange{sim_.now(), config, reason});
-    sim::logInfo("t=" + std::to_string(sim_.now()) + " " + name() +
-                 " config -> " + config.str() + " (" + reason + ")");
+    if (sim::logEnabled(sim::LogLevel::Info)) {
+        sim::logInfo("t=" + std::to_string(sim_.now()) + " " + name() +
+                     " config -> " + config.str() + " (" + reason + ")");
+    }
 }
 
 engine::ContextSnapshot
@@ -671,6 +716,8 @@ BaseServingSystem::admitAtBoundary(engine::InferencePipeline &pipeline,
     // touches the others.
     if (idle_others > 0 && !requests_.pendingEmpty())
         dispatchAll();
+    // Work still queued goes to the next replica's boundary.
+    cutStrideForQueuedWork();
     return admitted;
 }
 

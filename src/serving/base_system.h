@@ -305,6 +305,18 @@ class BaseServingSystem : public ServingSystem
     /** Remove one replica's pipeline and return its batch. */
     std::vector<engine::ActiveRequest> removePipeline(int idx);
 
+    /**
+     * Halt @p pipeline after at most @p iterations more boundaries
+     * (InferencePipeline::haltAfter).  A halting replica admits nothing,
+     * so queued work it was due to take moves to the boundary of the
+     * replica that is next (see cutStrideForQueuedWork); halt replicas
+     * through here, or call that yourself.
+     */
+    void haltPipeline(engine::InferencePipeline &pipeline, int iterations);
+
+    /** haltPipeline, but at once (InferencePipeline::haltNow). */
+    void haltPipelineNow(engine::InferencePipeline &pipeline);
+
     /** Reset progress of @p batch and put it back on the queue. */
     void restartAndRequeue(std::vector<engine::ActiveRequest> batch);
 
@@ -415,13 +427,30 @@ class BaseServingSystem : public ServingSystem
     cost::MemoryModel memory_;
     cost::ThroughputModel throughput_;
 
+    /**
+     * While work is queued, cut the stride of the one replica that can
+     * admit it first: the least next boundary, in (time, EventOrder)
+     * order, among the executing replicas with no halt pending and a
+     * free slot.  Called when work is queued, after each boundary
+     * admission that leaves some, and wherever that replica can leave
+     * the set before its boundary: a halt, or removePipeline.  (A
+     * cleared deployment leaves no replica to cut; installDeployment
+     * re-checks for the carried ones.)
+     */
+    void cutStrideForQueuedWork();
+
   private:
-    /** Work was queued: replicas with a free slot stop their strides at
-     *  the next boundary, where admission runs. */
-    void cutStridesForQueuedWork();
+    /** Prefix sharing could discount @p head: sharing is on, the head
+     *  carries a prefix and is not restarted (restarted heads are
+     *  charged their full worst case, the eviction-storm guard). */
+    bool sharesPrefix(const engine::ActiveRequest &head) const
+    {
+        return engine_.prefixSharing && head.restarts == 0 &&
+               head.request.prefixId >= 0;
+    }
 
     std::optional<Deployment> deployment_;
-    /** onRequestArrival is dealing an arrival: its push cuts strides
+    /** onRequestArrival is dealing an arrival: its push cuts a stride
      *  only if the work is still queued afterwards. */
     bool dealingArrival_ = false;
     std::vector<ConfigChange> history_;

@@ -1,5 +1,8 @@
 #include "serving/experiment.h"
 
+#include <algorithm>
+#include <numeric>
+
 #include "baselines/reparallelization_system.h"
 #include "baselines/rerouting_system.h"
 #include "cluster/fault_injector.h"
@@ -8,6 +11,69 @@
 
 namespace spotserve {
 namespace serving {
+
+namespace {
+
+/**
+ * Feeds the workload's arrivals to the system.  On an executor with
+ * order keys only the next arrival is pending, so the event heap does
+ * not carry the whole workload: arrivals fire in stable arrival-time
+ * order (equal times in workload order), each scheduled "after" the
+ * setup time with the one key the first arrival drew.  The up-front
+ * schedule gave every arrival that setup time and consecutive keys, so
+ * each arrival keeps its place among same-time events.  Other executors
+ * get the whole workload up front.
+ */
+class ArrivalCursor
+{
+  public:
+    ArrivalCursor(sim::Executor &executor, const wl::Workload &workload,
+                  ServingSystem &system)
+        : executor_(executor), workload_(workload), system_(system),
+          setupTime_(executor.now())
+    {
+        if (!executor_.supportsOrderKeys()) {
+            for (const auto &req : workload_) {
+                executor_.schedule(req.arrival, [this, &req] {
+                    system_.onRequestArrival(req);
+                });
+            }
+            return;
+        }
+        order_.resize(workload_.size());
+        std::iota(order_.begin(), order_.end(), std::size_t{0});
+        std::stable_sort(order_.begin(), order_.end(),
+                         [this](std::size_t a, std::size_t b) {
+                             return workload_[a].arrival <
+                                    workload_[b].arrival;
+                         });
+        scheduleNext();
+    }
+
+  private:
+    void scheduleNext()
+    {
+        if (next_ == order_.size())
+            return;
+        const wl::Request &req = workload_[order_[next_++]];
+        executor_.scheduleOrdered(req.arrival, setupTime_, key_,
+                                  [this, &req] {
+                                      scheduleNext();
+                                      system_.onRequestArrival(req);
+                                  });
+    }
+
+    sim::Executor &executor_;
+    const wl::Workload &workload_;
+    ServingSystem &system_;
+    sim::SimTime setupTime_;
+    sim::OrderKey key_ = sim::kFreshOrderKey;
+    /** Workload indices in arrival order; next_ is the next to schedule. */
+    std::vector<std::size_t> order_;
+    std::size_t next_ = 0;
+};
+
+} // namespace
 
 ExperimentResult
 runExperiment(const model::ModelSpec &spec, const cost::CostParams &params,
@@ -52,11 +118,7 @@ runExperimentOn(sim::Executor &executor, const model::ModelSpec &spec,
         injector->arm();
     }
 
-    for (const auto &req : workload) {
-        executor.schedule(req.arrival, [&system, req] {
-            system->onRequestArrival(req);
-        });
-    }
+    ArrivalCursor arrivals(executor, workload, *system);
 
     const sim::SimTime horizon = trace.duration() + options.drainTimeout;
     executor.run(horizon);

@@ -36,13 +36,18 @@ logLevel()
     return g_level;
 }
 
+bool
+logEnabled(LogLevel level)
+{
+    return level != LogLevel::Silent &&
+           static_cast<int>(level) <= static_cast<int>(g_level);
+}
+
 void
 logMessage(LogLevel level, const std::string &msg)
 {
-    if (static_cast<int>(level) <= static_cast<int>(g_level) &&
-        level != LogLevel::Silent) {
+    if (logEnabled(level))
         std::fprintf(stderr, "[%s] %s\n", levelTag(level), msg.c_str());
-    }
 }
 
 void

@@ -28,6 +28,13 @@ void setLogLevel(LogLevel level);
 /** Current process-wide log level. */
 LogLevel logLevel();
 
+/**
+ * True when a message at @p level would be emitted.  Call sites that
+ * format their message check this first, so a quiet run builds no
+ * strings.
+ */
+bool logEnabled(LogLevel level);
+
 /** Emit a message if @p level is enabled.  printf-style body prebuilt. */
 void logMessage(LogLevel level, const std::string &msg);
 

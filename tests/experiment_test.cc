@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "plain_order_executor.h"
 #include "simcore/simulation.h"
 #include "cluster/trace_library.h"
 #include "serving/presets.h"
@@ -150,6 +153,112 @@ TEST(ExperimentDriverTest, CostScalesWithFleet)
     const double c4 = fleet(4);
     const double c8 = fleet(8);
     EXPECT_NEAR(c8 / c4, 2.0, 0.01);
+}
+
+/** A Simulation with its order keys, counting the scheduleOrdered calls
+ *  and those that name a time before now(). */
+class CheckedOrderExecutor : public PlainOrderExecutor
+{
+  public:
+    explicit CheckedOrderExecutor(sim::Simulation &inner)
+        : PlainOrderExecutor(inner), inner_(inner)
+    {
+    }
+    bool supportsOrderKeys() const override { return true; }
+    sim::EventId scheduleOrdered(sim::SimTime when, sim::SimTime after,
+                                 sim::OrderKey &key,
+                                 sim::EventCallback fn) override
+    {
+        ++ordered;
+        if (when < inner_.now() || after > when)
+            ++past;
+        return inner_.scheduleOrdered(when, after, key, std::move(fn));
+    }
+    sim::EventOrder firingOrder() const override
+    {
+        return inner_.firingOrder();
+    }
+
+    long ordered = 0;
+    long past = 0;
+
+  private:
+    sim::Simulation &inner_;
+};
+
+// The arrival cursor keeps one arrival pending at a time.  A hand-built
+// workload out of arrival order, with runs of equal arrival times, must
+// arrive in stable time order: the same completions, in the same order
+// and with the same latencies, as the whole workload scheduled up front
+// (an executor without order keys), and no arrival is scheduled in the
+// past.  A marker event due at an arrival time, scheduled after setup
+// but before the previous arrival, still fires after that arrival, as
+// it did when every arrival was scheduled at setup.
+TEST(ExperimentDriverTest, ArrivalCursorMatchesTheUpFrontSchedule)
+{
+    const auto spec = model::ModelSpec::opt6_7b();
+    const cluster::AvailabilityTrace trace(
+        "steady", 600.0,
+        {cluster::TraceEvent{0.0, cluster::TraceEventKind::Join,
+                             cluster::InstanceType::Spot, 2}});
+    wl::Workload workload;
+    for (int i = 0; i < 40; ++i) {
+        wl::Request r = req(i, 60.0 + 5.0 * ((i * 7) % 6));
+        r.inputLen = 128 + 64 * (i % 3);
+        r.outputLen = 32 + 16 * (i % 5);
+        workload.push_back(r);
+    }
+    ASSERT_FALSE(std::is_sorted(workload.begin(), workload.end(),
+                                [](const wl::Request &a,
+                                   const wl::Request &b) {
+                                    return a.arrival < b.arrival;
+                                }));
+    for (const char *system : {"SpotServe", "Rerouting"}) {
+        SCOPED_TRACE(system);
+        const auto inner = presets::factoryByName(
+            system, spec, kParams, kSeq, presets::stableRate(spec));
+        const RequestManager *requests = nullptr;
+        const SystemFactory factory = [&](sim::Executor &exec,
+                                          cluster::InstanceManager &inst,
+                                          RequestManager &reqs) {
+            requests = &reqs;
+            return inner(exec, inst, reqs);
+        };
+        long seen_at_marker[2] = {-1, -1};
+        auto mark = [&](sim::Simulation &sim, long &seen) {
+            sim.schedule(1.0, [&sim, &seen, &requests] {
+                sim.schedule(65.0,
+                             [&seen, &requests] {
+                                 seen = requests->arrivedCount();
+                             });
+            });
+        };
+        sim::Simulation a_sim;
+        CheckedOrderExecutor cursor(a_sim);
+        mark(a_sim, seen_at_marker[0]);
+        const auto a = runExperimentOn(cursor, spec, kParams, trace,
+                                       workload, factory);
+        sim::Simulation b_sim;
+        PlainOrderExecutor upfront(b_sim);
+        mark(b_sim, seen_at_marker[1]);
+        const auto b = runExperimentOn(upfront, spec, kParams, trace,
+                                       workload, factory);
+        const long by_marker = std::count_if(
+            workload.begin(), workload.end(),
+            [](const wl::Request &r) { return r.arrival <= 65.0; });
+        EXPECT_EQ(seen_at_marker[1], by_marker);
+        EXPECT_EQ(seen_at_marker[0], by_marker);
+        EXPECT_GE(cursor.ordered, static_cast<long>(workload.size()));
+        EXPECT_EQ(cursor.past, 0);
+        EXPECT_EQ(a.arrived, 40);
+        EXPECT_EQ(a.completed, 40);
+        ASSERT_EQ(a.perRequest.size(), b.perRequest.size());
+        for (std::size_t i = 0; i < a.perRequest.size(); ++i) {
+            EXPECT_EQ(a.perRequest[i].id, b.perRequest[i].id);
+            EXPECT_EQ(a.perRequest[i].arrival, b.perRequest[i].arrival);
+            EXPECT_EQ(a.perRequest[i].latency, b.perRequest[i].latency);
+        }
+    }
 }
 
 } // namespace

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <set>
 #include <stdexcept>
+#include <utility>
 
 #include "baselines/reparallelization_system.h"
 #include "baselines/rerouting_system.h"
@@ -271,6 +274,7 @@ struct BareSystem : serving::BaseServingSystem
     void onInstanceReleased(const cluster::Instance &) override {}
 
     using BaseServingSystem::deployment;
+    using BaseServingSystem::haltPipeline;
     using BaseServingSystem::installDeployment;
     using BaseServingSystem::packedMesh;
 };
@@ -544,6 +548,178 @@ TEST(SystemsIntegration, StridesCutByTheHorizonSettleTheirPeaks)
         EXPECT_GT(a.peakKvHeldTokens, 512 + 10);
         expectIdenticalResults(a, b);
     }
+}
+
+/**
+ * Four replicas of a bare system, each decoding one request in a stride
+ * (or one iteration per event, @p observed), and a fifth request that
+ * arrives at kQueuedAt to find none of them idle.
+ */
+struct StridingFleet
+{
+    static constexpr int kReplicas = 4;
+    static constexpr sim::SimTime kQueuedAt = 2.0;
+
+    explicit StridingFleet(bool observed)
+    {
+        instances.loadTrace(steadyTrace(kReplicas, 100.0));
+        sim.run(1.0);
+        const par::ParallelConfig config{kReplicas, 2, 2, 8};
+        bare.installDeployment(
+            config, bare.packedMesh(config, instances.usableInstances()));
+        if (observed)
+            bare.setKvObserver([](const engine::InferencePipeline &) {});
+        for (int i = 0; i < kReplicas; ++i)
+            arrive(i + 1, 1.0 + 0.05 * i);
+        arrive(kReplicas + 1, kQueuedAt);
+        sim.run(kQueuedAt);
+    }
+
+    void arrive(wl::RequestId id, sim::SimTime at)
+    {
+        wl::Request r;
+        r.id = id;
+        r.arrival = at;
+        sim.schedule(at, [this, r] { bare.onRequestArrival(r); });
+    }
+
+    engine::InferencePipeline &pipeline(int d)
+    {
+        return *bare.deployment().pipelines.at(d);
+    }
+
+    /** The replica with the least next boundary among those @p eligible
+     *  accepts, in (time, EventOrder) order. */
+    template <typename Pred> int firstBoundary(Pred eligible)
+    {
+        int first = -1;
+        engine::InferencePipeline::NextBoundary at{};
+        for (int d = 0; d < kReplicas; ++d) {
+            if (!eligible(d))
+                continue;
+            const auto next = pipeline(d).nextBoundary();
+            if (!next)
+                continue;
+            if (first < 0 || next->time < at.time ||
+                (next->time == at.time && next->order < at.order)) {
+                first = d;
+                at = *next;
+            }
+        }
+        return first;
+    }
+
+    /** Replicas whose next boundary runs as its own event. */
+    std::vector<int> unstrided()
+    {
+        std::vector<int> out;
+        for (int d = 0; d < kReplicas; ++d) {
+            const auto next = pipeline(d).nextBoundary();
+            if (next && !next->strided)
+                out.push_back(d);
+        }
+        return out;
+    }
+
+    /** Step until the queue empties: (when, which replica took it). */
+    std::pair<sim::SimTime, int> stepUntilAdmitted()
+    {
+        while (!requests.pendingEmpty() && sim.step()) {
+        }
+        for (int d = 0; d < kReplicas; ++d) {
+            if (!pipeline(d).halted() && pipeline(d).batch().size() == 2)
+                return {sim.now(), d};
+        }
+        return {sim.now(), -1};
+    }
+
+    sim::Simulation sim;
+    cluster::InstanceManager instances{sim, kParams};
+    serving::RequestManager requests{sim};
+    BareSystem bare{sim, instances, requests, model::ModelSpec::opt6_7b()};
+};
+
+void
+expectSameCompletions(const serving::RequestManager &a,
+                      const serving::RequestManager &b)
+{
+    ASSERT_EQ(a.completions().size(), b.completions().size());
+    for (std::size_t i = 0; i < a.completions().size(); ++i) {
+        EXPECT_EQ(a.completions()[i].id, b.completions()[i].id);
+        EXPECT_EQ(a.completions()[i].latency, b.completions()[i].latency);
+    }
+}
+
+// Queued work wakes one replica: of four striding replicas with free
+// slots, only the one whose next boundary comes first is cut, that one
+// extra event admits the request, and the others' strides stay whole.
+// The run matches one iteration per event (where every boundary could
+// admit) request for request.
+TEST(QueuedWork, WakesOnlyTheReplicaWhoseBoundaryComesFirst)
+{
+    StridingFleet fleet(false);
+    ASSERT_EQ(fleet.requests.pendingCount(), 1u);
+    const int first = fleet.firstBoundary([](int) { return true; });
+    ASSERT_GE(first, 0);
+    EXPECT_EQ(fleet.unstrided(), std::vector<int>{first});
+    const sim::SimTime boundary = fleet.pipeline(first).nextBoundary()->time;
+
+    const auto before = fleet.sim.eventsFired();
+    ASSERT_TRUE(fleet.sim.step());
+    EXPECT_EQ(fleet.sim.eventsFired(), before + 1);
+    EXPECT_EQ(fleet.sim.now(), boundary);
+    EXPECT_TRUE(fleet.requests.pendingEmpty());
+    EXPECT_EQ(fleet.pipeline(first).batch().size(), 2u);
+    for (int d = 0; d < StridingFleet::kReplicas; ++d) {
+        if (d == first)
+            continue;
+        ASSERT_TRUE(fleet.pipeline(d).nextBoundary());
+        EXPECT_TRUE(fleet.pipeline(d).nextBoundary()->strided) << d;
+    }
+
+    StridingFleet observed(true);
+    const auto reference = observed.stepUntilAdmitted();
+    EXPECT_EQ(reference.first, boundary);
+    EXPECT_EQ(reference.second, first);
+    fleet.sim.run();
+    observed.sim.run();
+    EXPECT_EQ(fleet.requests.completedCount(), 5);
+    expectSameCompletions(fleet.requests, observed.requests);
+    EXPECT_LT(fleet.sim.eventsFired(), observed.sim.eventsFired());
+}
+
+// Halting the woken replica before its boundary hands the queued work
+// to the replica that is next: it admits at the same boundary as when
+// every boundary is an event.
+TEST(QueuedWork, HaltingTheWokenReplicaWakesTheNext)
+{
+    std::pair<sim::SimTime, int> admitted[2];
+    int halted[2];
+    std::unique_ptr<StridingFleet> runs[2] = {
+        std::make_unique<StridingFleet>(false),
+        std::make_unique<StridingFleet>(true)};
+    for (int observed = 0; observed < 2; ++observed) {
+        StridingFleet &fleet = *runs[observed];
+        const int first = fleet.firstBoundary([](int) { return true; });
+        ASSERT_GE(first, 0);
+        fleet.bare.haltPipeline(fleet.pipeline(first), 3);
+        const int next =
+            fleet.firstBoundary([first](int d) { return d != first; });
+        ASSERT_GE(next, 0);
+        if (!observed) {
+            const auto cut = fleet.unstrided();
+            EXPECT_NE(std::find(cut.begin(), cut.end(), next), cut.end());
+        }
+        halted[observed] = first;
+        admitted[observed] = fleet.stepUntilAdmitted();
+        EXPECT_EQ(admitted[observed].second, next);
+        fleet.sim.run();
+    }
+    EXPECT_EQ(halted[0], halted[1]);
+    EXPECT_EQ(admitted[0], admitted[1]);
+    EXPECT_TRUE(runs[0]->pipeline(halted[0]).halted());
+    EXPECT_EQ(runs[0]->requests.completedCount(), 4);
+    expectSameCompletions(runs[0]->requests, runs[1]->requests);
 }
 
 } // namespace
