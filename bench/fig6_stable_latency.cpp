@@ -8,6 +8,9 @@
  * P90..P99 tail latencies plus SpotServe's improvement factors over both
  * baselines, the numbers printed on each subplot.
  *
+ * Gate: exits non-zero if SpotServe's P99 exceeds Reparallelization's
+ * on any row it runs.
+ *
  * Usage: fig6_stable_latency [model-substring] [trace-substring]
  */
 
@@ -44,6 +47,7 @@ main(int argc, char **argv)
     std::printf("=== Figure 6: end-to-end latency on stable workloads "
                 "(seconds) ===\n");
 
+    int losses = 0;
     const std::vector<std::string> systems = {"SpotServe",
                                               "Reparallelization",
                                               "Rerouting"};
@@ -92,7 +96,15 @@ main(int argc, char **argv)
                         "%.2fx vs Rerouting\n",
                         repar_p99 / spot_p99, rerout_p99 / spot_p99,
                         repar_avg / spot_avg, rerout_avg / spot_avg);
+            if (spot_p99 > repar_p99) {
+                std::fprintf(stderr,
+                             "FAIL: %s on %s: SpotServe P99 %.2f s exceeds "
+                             "Reparallelization's %.2f s\n",
+                             spec.name().c_str(), trace.name().c_str(),
+                             spot_p99, repar_p99);
+                ++losses;
+            }
         }
     }
-    return 0;
+    return losses == 0 ? 0 : 1;
 }

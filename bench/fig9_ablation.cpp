@@ -8,6 +8,9 @@
  * latency relative to the full system, plus the planner's side effect on
  * GPT-20B's minimum GPU count (16 -> 12 with the memory-optimised
  * planner).
+ *
+ * Gate: exits non-zero if, on trace B_S, the P99 ratio to the full
+ * system decreases anywhere down the cumulative rows.
  */
 
 #include <cstdio>
@@ -59,6 +62,7 @@ main()
     const cost::SeqSpec seq{};
 
     std::printf("=== Figure 9: ablation study (GPT-20B) ===\n");
+    int drops = 0;
 
     cost::MemoryModel mem(spec, params);
     std::printf("memory-optimised migration planner: min #GPUs %d -> %d "
@@ -71,7 +75,8 @@ main()
             wl::stationaryGamma(0.35, 6.0, trace.duration(), seq, rng);
 
         std::printf("Trace %s:\n", trace.name().c_str());
-        double base_p99 = 0.0, base_avg = 0.0;
+        const bool gated = trace.name() == cluster::traceBS().name();
+        double base_p99 = 0.0, base_avg = 0.0, prev_p99 = 0.0;
         for (const auto &v : variants()) {
             core::SpotServeOptions options = v.options;
             options.designArrivalRate = 0.35;
@@ -89,10 +94,19 @@ main()
                         "   done %ld/%ld\n",
                         v.name, p99, p99 / base_p99, avg, avg / base_avg,
                         r.completed, r.arrived);
+            if (gated && p99 < prev_p99) {
+                std::fprintf(stderr,
+                             "FAIL: trace %s: P99 falls from %.2f s to "
+                             "%.2f s at \"%s\"; disabling one more "
+                             "component must not help\n",
+                             trace.name().c_str(), prev_p99, p99, v.name);
+                ++drops;
+            }
+            prev_p99 = p99;
         }
         std::printf("\n");
     }
     std::printf("(paper: cumulative ablation raises P99 up to 1.61x on "
                 "A_S and 3.41x on B_S)\n");
-    return 0;
+    return drops == 0 ? 0 : 1;
 }

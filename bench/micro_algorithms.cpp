@@ -14,7 +14,9 @@
  * summary, which CI archives to seed the perf trajectory.  The memoised
  * sweep must stay >= 2x faster than the cold sweep at 128 instances, and
  * the full replan pass at 512 instances must fit in 250 ms.  It also
- * reports, without a gate, one reconfiguration at the few-shot
+ * reports, without a gate, the Kuhn-Munkres solve alone on a tie-heavy
+ * 396 x 512 matrix with the structure of the mapper's at the
+ * 512-instance reshape, and one reconfiguration at the few-shot
  * scenario's scale (GPT-20B on 10 instances): device mapper, migration
  * planner, data-plane preview and submit, in microseconds per
  * reconfiguration.
@@ -62,6 +64,50 @@ BM_KuhnMunkres(benchmark::State &state)
     }
 }
 BENCHMARK(BM_KuhnMunkres)->Arg(8)->Arg(16)->Arg(32)->Arg(48)->Arg(64);
+
+/**
+ * The device mapper's inter-instance matrix at fleet-replan's 512 -> 512
+ * reshape (GPT-20B, target D=99 P=2 M=8), rebuilt from its structure:
+ * 512 instances x 396 slots, four per target replica, the solver running
+ * on the 396 x 512 transpose.  Instances come in triples: one reuses the
+ * front two slots of every replica, one the back two, one all four at
+ * two weights; the first 99 triples carry a 2.21% bonus on their own
+ * replica's slots, and two instances hold nothing.  That gives 9 distinct weights,
+ * 301 distinct instance rows and 198 distinct slot columns, and the same
+ * 33,819 Dijkstra steps as the mapper's own matrix: a tie-heavy solve,
+ * unlike BM_KuhnMunkres's random matrices.
+ */
+match::Matrix
+mapperShapedMatrix()
+{
+    constexpr int kInstances = 512, kSlots = 396, kTriples = 170;
+    constexpr int kBonusTriples = 99;
+    constexpr double kFront = 6.8182e9, kBack = 6.3636e9;
+    constexpr double kAllFront = 3.1818e9, kAllBack = 3.6364e9;
+    constexpr double kBonus = 1.0221;
+    match::Matrix w(kInstances, std::vector<double>(kSlots, 0.0));
+    for (int k = 0; k < kTriples; ++k) {
+        for (int s = 0; s < kSlots; ++s) {
+            const bool front = s % 4 < 2;
+            const double x = k < kBonusTriples && s / 4 == k ? kBonus : 1.0;
+            w[3 * k][s] = front ? kFront * x : 0.0;
+            w[3 * k + 1][s] = (front ? kAllFront : kAllBack) * x;
+            w[3 * k + 2][s] = front ? 0.0 : kBack * x;
+        }
+    }
+    return w;
+}
+
+void
+BM_KuhnMunkresMapperShaped(benchmark::State &state)
+{
+    const auto w = mapperShapedMatrix();
+    for (auto _ : state) {
+        auto a = match::maxWeightAssignment(w);
+        benchmark::DoNotOptimize(a.totalWeight);
+    }
+}
+BENCHMARK(BM_KuhnMunkresMapperShaped)->Unit(benchmark::kMillisecond);
 
 void
 BM_ConfigOptimizer(benchmark::State &state)
@@ -435,6 +481,22 @@ runPlanningHarness(const std::string &json_path)
                     r.linkScheduleSec * 1e3, r.fullPassSec * 1e3);
     }
 
+    // The Kuhn-Munkres solve on its own, on the mapper-shaped matrix:
+    // best of kPassReps, report only.
+    double km_sec = std::numeric_limits<double>::infinity();
+    {
+        const auto w = mapperShapedMatrix();
+        for (int k = 0; k < kPassReps; ++k) {
+            const auto t0 = std::chrono::steady_clock::now();
+            const auto a = match::maxWeightAssignment(w);
+            km_sec = std::min(km_sec, secondsSince(t0));
+            benchmark::DoNotOptimize(a.totalWeight);
+        }
+    }
+    std::printf("  kuhn-munkres 396x512 mapper-shaped solve (best of %d, "
+                "report only): %.3f ms\n",
+                kPassReps, km_sec * 1e3);
+
     const ReconfigRow reconfig = timeReconfiguration();
     std::printf("  reconfiguration at %d instances (mean of %d, report "
                 "only): map %.1f us  plan %.1f us  preview %.1f us  "
@@ -464,6 +526,8 @@ runPlanningHarness(const std::string &json_path)
            << ", \"link_schedule_build_s\": " << r.linkScheduleSec
            << ", \"full_pass_s\": " << r.fullPassSec << "},\n";
     }
+    os << "  {\"kuhn_munkres_rows\": 396, \"kuhn_munkres_cols\": 512"
+       << ", \"kuhn_munkres_mapper_shaped_s\": " << km_sec << "},\n";
     os << "  {\"reconfig_instances\": " << reconfig.instances
        << ", \"reconfig_map_us\": " << reconfig.mapUs
        << ", \"reconfig_plan_us\": " << reconfig.planUs
@@ -471,8 +535,8 @@ runPlanningHarness(const std::string &json_path)
        << ", \"reconfig_submit_us\": " << reconfig.submitUs
        << ", \"reconfig_total_us\": " << reconfig.totalUs() << "}\n";
     os << "]\n";
-    std::printf("wrote %zu planning rows and the reconfiguration row to "
-                "%s\n",
+    std::printf("wrote %zu planning rows, the Kuhn-Munkres row and the "
+                "reconfiguration row to %s\n",
                 rows.size(), json_path.c_str());
 
     // The acceptance bar CI watches: memoisation must pay off at scale.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -33,56 +35,135 @@ shapeOf(const Matrix &m)
 }
 
 /**
+ * Two columns per register: their doubles, and their 64-bit
+ * back-pointers and indices.  Two registers hold the four argmin lanes.
+ */
+typedef double Vec __attribute__((vector_size(16)));
+typedef std::int64_t Ints __attribute__((vector_size(16)));
+
+/** Columns per iteration of the relaxation pass, one per argmin lane. */
+constexpr std::size_t kLanes = 4;
+
+/** Row stride of the solver's cost array: cols rounded up to kLanes. */
+std::size_t
+paddedWidth(std::size_t cols)
+{
+    return (cols + kLanes - 1) / kLanes * kLanes;
+}
+
+template <typename T>
+T
+load(const void *p)
+{
+    T x;
+    std::memcpy(&x, p, sizeof x);
+    return x;
+}
+
+template <typename T>
+void
+store(void *p, T x)
+{
+    std::memcpy(p, &x, sizeof x);
+}
+
+/**
  * Core O(n^3) Hungarian solver, minimisation, requires rows <= cols.
  * Classic potentials formulation (1-indexed internally) over a dense
- * row-major n x m cost array.  Returns rowToCol (0-indexed).
+ * row-major n x paddedWidth(m) cost array whose first m columns are
+ * real.  Returns rowToCol (0-indexed).
  */
 std::vector<int>
 solveMinRect(const std::vector<double> &a, std::size_t n, std::size_t m)
 {
-    std::vector<double> u(n + 1, 0.0), v(m + 1, 0.0);
-    std::vector<int> p(m + 1, 0), way(m + 1, 0);
-    std::vector<double> minv(m + 1);
-    std::vector<char> used(m + 1);
+    const std::size_t stride = paddedWidth(m);
+    std::vector<double> u(n + 1, 0.0), v(stride + 1, 0.0);
+    std::vector<double> minv(stride + 1);
+    std::vector<int> p(stride + 1, 0);
+    std::vector<std::int64_t> way(stride + 1, 0);
+    // +inf while column j is used in this row's search (padding columns
+    // always), -inf otherwise.  The select `lift > cur ? lift : cur`
+    // turns a used column's candidate into +inf and passes every other
+    // value through unchanged; a used column's minv is +inf as well, so
+    // it neither relaxes nor wins.
+    std::vector<double> lift(stride + 1, -kInf);
+    std::fill(lift.begin() + static_cast<std::ptrdiff_t>(m) + 1, lift.end(),
+              kInf);
+    // This row's used columns, the virtual column 0 first: only they
+    // take the u/v updates.
+    std::vector<std::size_t> used;
+    used.reserve(n + 1);
 
+    const Vec inf = {kInf, kInf};
+    const Ints step = {kLanes, kLanes};
     for (std::size_t i = 1; i <= n; ++i) {
         p[0] = static_cast<int>(i);
         std::size_t j0 = 0;
         std::fill(minv.begin(), minv.end(), kInf);
-        std::fill(used.begin(), used.end(), 0);
-        do {
-            used[j0] = 1;
+        for (std::size_t j : used)
+            lift[j] = -kInf;
+        used.assign(1, 0);
+        // The previous step's delta, which this pass subtracts from
+        // minv; +0.0 leaves every value (-0.0 included) unchanged.
+        double prev = 0.0;
+        for (;;) {
             const std::size_t i0 = p[j0];
-            const double *row = a.data() + (i0 - 1) * m;
-            const double ui0 = u[i0];
-            double delta = kInf;
-            std::size_t j1 = 0;
-            for (std::size_t j = 1; j <= m; ++j) {
-                if (used[j])
-                    continue;
-                const double cur = row[j - 1] - ui0 - v[j];
-                if (cur < minv[j]) {
-                    minv[j] = cur;
-                    way[j] = static_cast<int>(j0);
-                }
-                if (minv[j] < delta) {
-                    delta = minv[j];
-                    j1 = j;
+            const double *row = a.data() + (i0 - 1) * stride;
+            const Vec ui = {u[i0], u[i0]};
+            const Vec pv = {prev, prev};
+            const auto from = static_cast<std::int64_t>(j0);
+            const Ints way0 = {from, from};
+            // Lanes 0-1 see columns 1,2 (mod 4), lanes 2-3 columns 3,4.
+            Vec best[2] = {inf, inf};
+            Ints arg[2] = {{0, 0}, {0, 0}};
+            Ints col[2] = {{1, 2}, {3, 4}};
+            for (std::size_t j = 1; j <= stride; j += kLanes) {
+                for (std::size_t h = 0; h < 2; ++h) {
+                    const std::size_t c = j + 2 * h;
+                    Vec cur = load<Vec>(row + c - 1) - ui - load<Vec>(&v[c]);
+                    const Vec up = load<Vec>(&lift[c]);
+                    cur = up > cur ? up : cur;
+                    const Vec old = load<Vec>(&minv[c]) - pv;
+                    const Vec mv = cur < old ? cur : old;
+                    // mv != old exactly when cur < old.  (A NaN old,
+                    // possible only once the potentials overflow, never
+                    // wins, so its back-pointer is never followed.)
+                    store(&way[c], mv != old ? way0 : load<Ints>(&way[c]));
+                    store(&minv[c], mv);
+                    // First minimum per lane: only a strictly lower
+                    // value moves it.
+                    const Vec was = best[h];
+                    best[h] = mv < was ? mv : was;
+                    arg[h] = best[h] != was ? col[h] : arg[h];
+                    col[h] += step;
                 }
             }
-            for (std::size_t j = 0; j <= m; ++j) {
-                if (used[j]) {
-                    u[p[j]] += delta;
-                    v[j] -= delta;
-                } else {
-                    minv[j] -= delta;
+            // The lanes' lowest (value, column) is the first minimum.
+            double delta = best[0][0];
+            auto j1 = static_cast<std::size_t>(arg[0][0]);
+            for (std::size_t k = 1; k < kLanes; ++k) {
+                const double b = best[k / 2][k % 2];
+                const auto c = static_cast<std::size_t>(arg[k / 2][k % 2]);
+                if (b < delta || (!(delta < b) && c < j1)) {
+                    delta = b;
+                    j1 = c;
                 }
             }
+            for (std::size_t j : used) {
+                u[p[j]] += delta;
+                v[j] -= delta;
+            }
+            prev = delta;
             j0 = j1;
-        } while (p[j0] != 0);
+            if (p[j0] == 0)
+                break;
+            lift[j0] = kInf;
+            minv[j0] = kInf;
+            used.push_back(j0);
+        }
         // Augment along the alternating path.
         do {
-            const std::size_t j1 = way[j0];
+            const auto j1 = static_cast<std::size_t>(way[j0]);
             p[j0] = p[j1];
             j0 = j1;
         } while (j0 != 0);
@@ -109,10 +190,11 @@ solveSigned(const Matrix &mat, std::size_t rows, std::size_t cols,
     const bool transpose = rows > cols;
     const std::size_t n = transpose ? cols : rows;
     const std::size_t m = transpose ? rows : cols;
-    std::vector<double> a(n * m);
+    const std::size_t stride = paddedWidth(m);
+    std::vector<double> a(n * stride, 0.0);
     for (std::size_t i = 0; i < rows; ++i) {
         for (std::size_t j = 0; j < cols; ++j) {
-            a[transpose ? j * m + i : i * m + j] = sign * mat[i][j];
+            a[transpose ? j * stride + i : i * stride + j] = sign * mat[i][j];
         }
     }
     const auto matched = solveMinRect(a, n, m);

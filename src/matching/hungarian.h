@@ -7,6 +7,22 @@
  * the target configuration (§3.3), with edge weights equal to the reusable
  * context bytes.  This module provides the O(n^3) potentials-based solver
  * plus an exponential brute-force reference used by the property tests.
+ *
+ * The solver is the e-maxx potentials method: rows in order, one
+ * Dijkstra search per row.  Each Dijkstra step is a single branch-free
+ * relaxation pass over all columns, two columns per SIMD register:
+ *  - a used column is masked by a select (its candidate becomes +inf)
+ *    and its minv is +inf, so it neither relaxes nor wins;
+ *  - the previous step's `minv[j] -= delta` is folded into the pass as
+ *    `minv[j] - prev`;
+ *  - the argmin runs in four independent lanes, each keeping its first
+ *    minimum, merged by lexicographic (value, column), which is the first
+ *    minimum of the plain left-to-right scan.
+ * The u/v updates then run over the list of used columns only.  Every
+ * minv, u and v sees the same IEEE operations, in the same order, as the
+ * textbook two-pass loop, so rowToCol and totalWeight are bit-identical
+ * to it on every input; the differential test in matching_test keeps
+ * that loop as its oracle.
  */
 
 #ifndef SPOTSERVE_MATCHING_HUNGARIAN_H
