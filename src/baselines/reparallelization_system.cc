@@ -1,9 +1,5 @@
 #include "baselines/reparallelization_system.h"
 
-#include <algorithm>
-
-#include "simcore/logging.h"
-
 namespace spotserve {
 namespace baselines {
 
@@ -11,15 +7,11 @@ ReparallelizationSystem::ReparallelizationSystem(
     sim::Executor &executor, cluster::InstanceManager &instances,
     serving::RequestManager &requests, const model::ModelSpec &spec,
     const cost::CostParams &params, const cost::SeqSpec &seq,
-    ReparallelizationOptions options)
-    : BaseServingSystem(executor, instances, requests, spec, params, seq),
-      options_(options),
-      controller_(spec, params, seq, cost::ConfigSpaceOptions{},
-                  options.controller),
-      dataPlane_(executor, params)
+    double design_rate)
+    : BaseServingSystem(executor, instances, requests, spec, params, seq,
+                        design_rate)
 {
-    sim_.scheduleAfter(options_.workloadCheckInterval,
-                       [this] { workloadTick(); });
+    startWorkloadMonitor();
 }
 
 std::string
@@ -60,38 +52,19 @@ ReparallelizationSystem::onInstanceReleased(const cluster::Instance &inst)
 }
 
 void
-ReparallelizationSystem::scheduleEval()
-{
-    if (evalScheduled_)
-        return;
-    evalScheduled_ = true;
-    sim_.schedule(sim_.now(), [this] { evaluate(); });
-}
-
-void
 ReparallelizationSystem::evaluate()
 {
-    evalScheduled_ = false;
     if (phase_ == Phase::Restarting) {
         pendingReconfig_ = true;
         return;
     }
 
     // Reactive view: every usable instance counts, including those in an
-    // unnoticed grace period.
-    const auto usable = instances_.usableInstances();
-    // Same planning floor as SpotServe (see SpotServeSystem::evaluate).
-    const double alpha = std::max(requests_.estimatedArrivalRate(120.0),
-                                  options_.designArrivalRate);
-
-    const auto decision =
-        controller_.chooseConfig(static_cast<int>(usable.size()), alpha);
+    // unnoticed grace period (the default proposeConfig).
+    const double alpha = planningRate();
+    const auto decision = proposeConfig(alpha);
     if (!decision) {
-        if (hasDeployment()) {
-            for (auto &b : haltAndCollectAll())
-                restartAndRequeue(std::move(b));
-            clearDeployment();
-        }
+        requeueDeployment();
         phase_ = Phase::Idle;
         return;
     }
@@ -104,68 +77,12 @@ ReparallelizationSystem::evaluate()
                 forced = true;
         }
     }
-    if (!forced) {
-        // Same voluntary-change gate as SpotServe: a full restart must be
-        // forced, fix an overload, or buy a substantial latency win.
-        const double sustained =
-            std::max(requests_.estimatedArrivalRate(60.0),
-                     options_.designArrivalRate);
-        if (!core::worthReconfiguring(
-                controller_.throughputModel(), seq_, deployment().config,
-                controller_.space().instancesNeeded(deployment().config),
-                *decision, alpha, sustained, requests_.pendingCount(),
-                options_.controller.arrivalCv,
-                options_.controller.sloLatency)) {
-            return;
-        }
-    }
+    // Same voluntary-change gate as SpotServe: a full restart must be
+    // forced, fix an overload, or buy a substantial latency win.
+    if (!forced && !worthReconfiguring(*decision, alpha))
+        return;
     beginRestart(decision->config, hasDeployment() ? "availability change"
                                                    : "initial deployment");
-}
-
-void
-ReparallelizationSystem::workloadTick()
-{
-    sim_.scheduleAfter(options_.workloadCheckInterval,
-                       [this] { workloadTick(); });
-    if (phase_ != Phase::Serving || !hasDeployment())
-        return;
-    const double alpha = std::max(requests_.estimatedArrivalRate(120.0),
-                                  options_.designArrivalRate);
-    const auto usable = instances_.usableInstances();
-    const auto decision =
-        controller_.chooseConfig(static_cast<int>(usable.size()), alpha);
-    if (!decision || decision->config == deployment().config) {
-        lastSuggestion_.reset();
-        suggestionStreak_ = 0;
-        return;
-    }
-    const double current_phi = controller_.throughputModel().throughput(
-        deployment().config, seq_);
-    const double sustained = std::max(requests_.estimatedArrivalRate(60.0),
-                                      options_.designArrivalRate);
-    const bool overloaded = current_phi < sustained;
-    if (!core::worthReconfiguring(
-            controller_.throughputModel(), seq_, deployment().config,
-            controller_.space().instancesNeeded(deployment().config),
-            *decision, alpha, sustained, requests_.pendingCount(),
-            options_.controller.arrivalCv,
-            options_.controller.sloLatency)) {
-        lastSuggestion_.reset();
-        suggestionStreak_ = 0;
-        return;
-    }
-    if (lastSuggestion_ && *lastSuggestion_ == decision->config)
-        ++suggestionStreak_;
-    else
-        suggestionStreak_ = 1;
-    lastSuggestion_ = decision->config;
-    if (overloaded || suggestionStreak_ >= 2) {
-        lastSuggestion_.reset();
-        suggestionStreak_ = 0;
-        beginRestart(decision->config,
-                     overloaded ? "overload detected" : "workload change");
-    }
 }
 
 void
@@ -174,11 +91,7 @@ ReparallelizationSystem::beginRestart(const par::ParallelConfig &target,
 {
     // Full system restart: every in-flight request recomputes from
     // scratch, and all instances reload weights from persistent storage.
-    if (hasDeployment()) {
-        for (auto &b : haltAndCollectAll())
-            restartAndRequeue(std::move(b));
-        clearDeployment();
-    }
+    requeueDeployment();
     phase_ = Phase::Restarting;
     pending_ = PendingRestart{target, reason};
 
@@ -227,7 +140,6 @@ ReparallelizationSystem::activate()
     usable.resize(controller_.space().instancesNeeded(target));
     installDeployment(target, packedMesh(target, usable));
     recordConfig(target, pm.reason);
-    ++restarts_;
     phase_ = Phase::Serving;
     dispatchAll();
     if (pendingReconfig_) {

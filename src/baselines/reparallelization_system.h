@@ -2,17 +2,20 @@
  * @file
  * Reparallelization baseline (§6.1).
  *
- * Changes the parallel configuration like SpotServe — it shares the same
- * Algorithm-1 optimizer (and therefore its memoised, dominance-pruned
- * sweep), so "the configuration of Reparallelization is always
- * consistent with SpotServe" (Figure 8) — but handles preemption
- * reactively and without context migration: every reconfiguration
- * restarts all instances, reloads the model from storage, and recomputes
- * every interrupted request from scratch (the Varuna-style approach).
- * Reconfiguration is deliberately synchronous — no planning phase, no
- * partial drain: the whole deployment stops for the full restart — which
- * is the §6.1 baseline SpotServe's overlapped pipeline is measured
- * against.
+ * Changes the parallel configuration like SpotServe — it runs the same
+ * Algorithm-1 optimizer and the same reconfiguration loop
+ * (serving::BaseServingSystem: coalesced evaluation, design-rate floors,
+ * voluntary-change gate, workload monitor), so "the configuration of
+ * Reparallelization is always consistent with SpotServe" (Figure 8) —
+ * but handles preemption reactively and without context migration:
+ * every reconfiguration restarts all instances, reloads the model from
+ * storage, and recomputes every interrupted request from scratch (the
+ * Varuna-style approach).  Reconfiguration is deliberately synchronous —
+ * no planning phase, no partial drain: the whole deployment stops for the
+ * full restart — which is the §6.1 baseline SpotServe's overlapped
+ * pipeline is measured against.  What this class adds is the reactive
+ * view (every usable instance counts, notices are ignored) and the
+ * restart itself.
  */
 
 #ifndef SPOTSERVE_BASELINES_REPARALLELIZATION_SYSTEM_H
@@ -20,36 +23,23 @@
 
 #include <optional>
 
-#include "core/controller.h"
-#include "core/transfer_data_plane.h"
 #include "serving/base_system.h"
 
 namespace spotserve {
 namespace baselines {
 
-/** Options shared with the other systems. */
-struct ReparallelizationOptions
-{
-    /** Expected workload rate for the first deployment sizing. */
-    double designArrivalRate = 0.0;
-
-    /** Workload monitor period. */
-    double workloadCheckInterval = 30.0;
-
-    core::ControllerOptions controller{};
-};
-
 /** The model-reparallelization baseline. */
 class ReparallelizationSystem : public serving::BaseServingSystem
 {
   public:
+    /** @param design_rate see BaseServingSystem. */
     ReparallelizationSystem(sim::Executor &executor,
                             cluster::InstanceManager &instances,
                             serving::RequestManager &requests,
                             const model::ModelSpec &spec,
                             const cost::CostParams &params,
                             const cost::SeqSpec &seq,
-                            ReparallelizationOptions options = {});
+                            double design_rate = 0.0);
 
     std::string name() const override;
 
@@ -59,12 +49,13 @@ class ReparallelizationSystem : public serving::BaseServingSystem
     void onInstancePreempted(const cluster::Instance &instance) override;
     void onInstanceReleased(const cluster::Instance &instance) override;
 
-    int restartsCompleted() const { return restarts_; }
-
-    /** The disk-link data plane cold weight loads run through. */
-    const core::TransferDataPlane &dataPlane() const { return dataPlane_; }
-    /** Mutable data plane access (fault injection hooks). */
-    core::TransferDataPlane &dataPlaneMutable() { return dataPlane_; }
+  protected:
+    void evaluate() override;
+    void onWorkloadChange(const par::ParallelConfig &config,
+                          const std::string &reason) override
+    {
+        beginRestart(config, reason);
+    }
 
   private:
     enum class Phase
@@ -74,19 +65,11 @@ class ReparallelizationSystem : public serving::BaseServingSystem
         Restarting,
     };
 
-    void scheduleEval();
-    void evaluate();
-    void workloadTick();
     void beginRestart(const par::ParallelConfig &target,
                       const std::string &reason);
     void activate();
 
-    ReparallelizationOptions options_;
-    core::ParallelizationController controller_;
-    core::TransferDataPlane dataPlane_;
-
     Phase phase_ = Phase::Idle;
-    bool evalScheduled_ = false;
     bool pendingReconfig_ = false;
 
     struct PendingRestart
@@ -95,10 +78,6 @@ class ReparallelizationSystem : public serving::BaseServingSystem
         std::string reason;
     };
     std::optional<PendingRestart> pending_;
-
-    std::optional<par::ParallelConfig> lastSuggestion_;
-    int suggestionStreak_ = 0;
-    int restarts_ = 0;
 };
 
 } // namespace baselines

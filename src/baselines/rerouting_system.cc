@@ -13,11 +13,9 @@ ReroutingSystem::ReroutingSystem(sim::Executor &executor,
                                  const model::ModelSpec &spec,
                                  const cost::CostParams &params,
                                  const cost::SeqSpec &seq,
-                                 ReroutingOptions options)
-    : BaseServingSystem(executor, instances, requests, spec, params, seq),
-      options_(options), dataPlane_(executor, params),
-      controller_(spec, params, seq, cost::ConfigSpaceOptions{},
-                  options.controller)
+                                 double design_rate)
+    : BaseServingSystem(executor, instances, requests, spec, params, seq,
+                        design_rate)
 {
 }
 
@@ -38,17 +36,6 @@ ReroutingSystem::name() const
 }
 
 int
-ReroutingSystem::onlinePipelines() const
-{
-    int n = 0;
-    for (const auto &s : slots_) {
-        if (s->online)
-            ++n;
-    }
-    return n;
-}
-
-int
 ReroutingSystem::instancesPerPipeline() const
 {
     if (!fixed_)
@@ -62,10 +49,7 @@ ReroutingSystem::ensureFixedConfig()
 {
     if (fixed_)
         return;
-    const int n = instances_.usableCount();
-    const double alpha = std::max(requests_.estimatedArrivalRate(120.0),
-                                  options_.designArrivalRate);
-    const auto decision = controller_.chooseConfig(n, alpha);
+    const auto decision = proposeConfig(planningRate());
     if (!decision)
         return;
     fixed_ = decision->config;
@@ -78,10 +62,14 @@ ReroutingSystem::onInstanceReady(const cluster::Instance &instance)
     pool_.push_back(instance.id());
     // Coalesce same-instant joins so the fixed configuration is chosen
     // with the full initial fleet in view.
-    sim_.schedule(sim_.now(), [this] {
-        ensureFixedConfig();
-        assemble();
-    });
+    scheduleEval();
+}
+
+void
+ReroutingSystem::evaluate()
+{
+    ensureFixedConfig();
+    assemble();
 }
 
 void
@@ -97,12 +85,7 @@ ReroutingSystem::onInstancePreempted(const cluster::Instance &inst)
     // load still streaming toward the instance is lost and its link
     // reservations must not keep throttling surviving slots.
     dataPlane_.failInstance(inst.id());
-    forgetInstance(inst.id());
-    lastRole_.erase(inst.id());
-    pool_.erase(std::remove(pool_.begin(), pool_.end(), inst.id()),
-                pool_.end());
-    dropSlotsUsing(inst.id());
-    assemble();
+    onInstanceReleased(inst);
 }
 
 void

@@ -14,6 +14,10 @@
  * reconfiguration to plan or migrate — surviving pipelines are simply
  * never touched), so the baseline needs no overlappedReconfig analogue;
  * it is the §6.1 comparison point for SpotServe's overlapped pipeline.
+ * Of the shared reconfiguration loop (serving::BaseServingSystem) it
+ * uses the controller, once, to pre-define (P, M, B), the coalesced
+ * evaluation for joins, and the data plane for cold weight loads; it
+ * keeps its pipelines in slots, not in the base deployment.
  */
 
 #ifndef SPOTSERVE_BASELINES_REROUTING_SYSTEM_H
@@ -22,34 +26,24 @@
 #include <deque>
 #include <memory>
 #include <optional>
-#include <unordered_set>
+#include <unordered_map>
 
-#include "core/controller.h"
-#include "core/transfer_data_plane.h"
 #include "serving/base_system.h"
 
 namespace spotserve {
 namespace baselines {
 
-/** Options for the rerouting baseline. */
-struct ReroutingOptions
-{
-    /** Expected workload rate used to pre-define (P, M, B). */
-    double designArrivalRate = 0.0;
-
-    core::ControllerOptions controller{};
-};
-
 /** The request-rerouting baseline. */
 class ReroutingSystem : public serving::BaseServingSystem
 {
   public:
+    /** @param design_rate the workload (P, M, B) is pre-defined for. */
     ReroutingSystem(sim::Executor &executor,
                     cluster::InstanceManager &instances,
                     serving::RequestManager &requests,
                     const model::ModelSpec &spec,
                     const cost::CostParams &params, const cost::SeqSpec &seq,
-                    ReroutingOptions options = {});
+                    double design_rate = 0.0);
 
     std::string name() const override;
 
@@ -59,19 +53,9 @@ class ReroutingSystem : public serving::BaseServingSystem
     void onInstancePreempted(const cluster::Instance &instance) override;
     void onInstanceReleased(const cluster::Instance &instance) override;
 
-    /** The locked parallelism, once chosen. */
-    std::optional<par::ParallelConfig> fixedParallelism() const
-    {
-        return fixed_;
-    }
-
-    /** Currently online pipelines. */
-    int onlinePipelines() const;
-
-    /** Mutable data plane access (fault injection hooks). */
-    core::TransferDataPlane &dataPlaneMutable() { return dataPlane_; }
-
   protected:
+    /** Lock (P, M, B) once the joins seen so far allow, then assemble. */
+    void evaluate() override;
     void onPipelineIdle(engine::InferencePipeline &pipeline) override;
     void handleArrival(const wl::Request &request) override;
     void dispatchPending() override { dispatchSlots(); }
@@ -103,10 +87,6 @@ class ReroutingSystem : public serving::BaseServingSystem
 
     /** Instances per pipeline under the fixed parallelism. */
     int instancesPerPipeline() const;
-
-    ReroutingOptions options_;
-    core::TransferDataPlane dataPlane_;
-    core::ParallelizationController controller_;
 
     std::optional<par::ParallelConfig> fixed_;
     std::vector<std::unique_ptr<Slot>> slots_;

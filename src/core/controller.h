@@ -146,6 +146,7 @@ class ParallelizationController
     const SweepStats &lastSweepStats() const { return lastSweep_; }
 
     const cost::ConfigSpace &space() const { return space_; }
+    const ControllerOptions &options() const { return options_; }
     const cost::ThroughputModel &throughputModel() const
     {
         return throughput_;

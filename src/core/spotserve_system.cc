@@ -4,10 +4,34 @@
 #include <cmath>
 #include <utility>
 
+#include "costmodel/planning_latency_model.h"
 #include "simcore/logging.h"
 
 namespace spotserve {
 namespace core {
+
+namespace {
+
+/**
+ * Spare instances dynamic mode keeps "as a candidate pool for smoother
+ * instance substitution" (§3.2; the paper keeps two).
+ */
+constexpr int kCandidatePoolSize = 2;
+
+/** Re-plan attempts after a failed migration before a cold restart. */
+constexpr int kMigrationMaxRetries = 3;
+
+/** Base seconds of the exponential retry backoff (base * 2^k). */
+constexpr double kMigrationRetryBackoff = 1.0;
+
+/**
+ * Per-plan deadline as a multiple of the quoted link-schedule makespan:
+ * a transfer stretched past it by link faults is failed and re-planned
+ * instead of stalling the reconfiguration forever.
+ */
+constexpr double kMigrationDeadlineFactor = 3.0;
+
+} // namespace
 
 SpotServeSystem::SpotServeSystem(sim::Executor &executor,
                                  cluster::InstanceManager &instances,
@@ -17,29 +41,24 @@ SpotServeSystem::SpotServeSystem(sim::Executor &executor,
                                  const cost::SeqSpec &seq,
                                  SpotServeOptions options)
     : BaseServingSystem(executor, instances, requests, spec, params, seq,
-                        options.engine),
+                        options.designArrivalRate, options.engine,
+                        [&options] {
+                            // Ablating the memory-optimised planner also
+                            // sizes the KV budget for naive double
+                            // buffering.
+                            cost::ConfigSpaceOptions so;
+                            so.memOptPlanner = options.enableMigrationPlanner;
+                            return so;
+                        }(),
+                        options.controller),
       options_(options),
-      controller_(spec, params, seq,
-                  [&options] {
-                      cost::ConfigSpaceOptions so;
-                      so.memOptPlanner = options.enableMigrationPlanner;
-                      return so;
-                  }(),
-                  options.controller),
       mapper_(spec, params,
               DeviceMapperOptions{options.enableDeviceMapper,
                                   options.enableArranger,
                                   /*identityFastPath=*/true}),
-      planner_(spec, params), arranger_(latency_),
-      dataPlane_(executor, params)
+      planner_(spec, params), arranger_(latency_)
 {
-    // The KV budget must deduct the same migration reserve the
-    // feasibility check assumed (naive double-buffering when the
-    // memory-optimised planner is ablated).
-    setMemOptReserve(options_.enableMigrationPlanner);
-    // Periodic workload monitor (overload and scale-down detection, §3.2).
-    sim_.scheduleAfter(options_.workloadCheckInterval,
-                       [this] { workloadTick(); });
+    startWorkloadMonitor();
     if (options_.dynamicAllocation) {
         // Nothing may ever join on its own in dynamic mode: bootstrap the
         // fleet from the declared workload.
@@ -72,15 +91,30 @@ SpotServeSystem::onPreemptionNotice(const cluster::Instance &instance,
 void
 SpotServeSystem::onInstancePreempted(const cluster::Instance &instance)
 {
+    loseInstance(instance, /*preempted=*/true);
+}
+
+void
+SpotServeSystem::onInstanceReleased(const cluster::Instance &instance)
+{
+    loseInstance(instance, /*preempted=*/false);
+}
+
+void
+SpotServeSystem::loseInstance(const cluster::Instance &instance,
+                              bool preempted)
+{
+    // The instance's notice, if any, is over (a noticed instance can also
+    // be released before its preemption fires); a stale one would pin
+    // every later reconfiguration to a dead deadline.
+    const bool noticed = notices_.erase(instance.id()) > 0;
+    forgetInstance(instance.id());
     // An unannounced (hard) death is the only one the migration plan did
     // not see coming: announced victims die exactly when the §4.2
     // deadline fallback modeled, so their in-flight schedules keep their
     // committed timeline; a hard kill voids every in-flight transfer the
     // victim still carries and fires the plans' failure callbacks.
-    const bool unannounced = notices_.find(instance.id()) == notices_.end();
-    notices_.erase(instance.id());
-    forgetInstance(instance.id());
-    if (unannounced)
+    if (preempted && !noticed)
         dataPlane_.failInstance(instance.id());
 
     // Normal path: the grace-period migration already moved everything
@@ -88,8 +122,10 @@ SpotServeSystem::onInstancePreempted(const cluster::Instance &instance)
     // (§4.2): the victim was still serving (including through an
     // overlapped planning pass), or it was a planned member of the
     // in-flight migration target.
-    if ((phase_ == Phase::Serving || phase_ == Phase::Planning) &&
-        hasDeployment() && meshUsesInstance(instance.id())) {
+    const bool on_mesh = hasDeployment() && meshUsesInstance(instance.id());
+    if (phase_ == Phase::Serving || phase_ == Phase::Planning) {
+        if (!on_mesh)
+            return;
         for (int d : pipelinesUsingInstance(instance.id())) {
             // The victim's pipelines lose their cache context.
             restartAndRequeue(removePipeline(d));
@@ -97,8 +133,10 @@ SpotServeSystem::onInstancePreempted(const cluster::Instance &instance)
         scheduleEval();
         return;
     }
+    // A release off the old mesh leaves the migration as planned:
+    // activate() revalidates the target side.
     if ((phase_ == Phase::Draining || phase_ == Phase::Migrating) &&
-        pending_) {
+        pending_ && (preempted || on_mesh)) {
         // Overlapped mode keeps unaffected replicas serving on the OLD
         // mesh through the transition; any of them standing on the victim
         // must stop now — their cache context is gone with the instance.
@@ -106,8 +144,7 @@ SpotServeSystem::onInstancePreempted(const cluster::Instance &instance)
         // was still draining fires onPipelineHalted from inside
         // removePipeline, so the all-drained transition is deferred past
         // the loop exactly like the arrangement loop defers it.
-        if (options_.overlappedReconfig && hasDeployment() &&
-            meshUsesInstance(instance.id())) {
+        if (options_.overlappedReconfig && on_mesh) {
             arrangingHalts_ = true;
             for (int d : pipelinesUsingInstance(instance.id()))
                 restartAndRequeue(removePipeline(d));
@@ -119,33 +156,6 @@ SpotServeSystem::onInstancePreempted(const cluster::Instance &instance)
         }
         pendingReconfig_ = true;
     }
-}
-
-void
-SpotServeSystem::onInstanceReleased(const cluster::Instance &instance)
-{
-    // A noticed instance can be released before its preemption fires (or
-    // the trace can revoke capacity another way); the stale notice would
-    // otherwise pin every later reconfiguration to a dead deadline.
-    notices_.erase(instance.id());
-    forgetInstance(instance.id());
-    if ((phase_ == Phase::Serving || phase_ == Phase::Planning) &&
-        hasDeployment() && meshUsesInstance(instance.id())) {
-        for (int d : pipelinesUsingInstance(instance.id()))
-            restartAndRequeue(removePipeline(d));
-        scheduleEval();
-    }
-}
-
-void
-SpotServeSystem::scheduleEval()
-{
-    if (evalScheduled_)
-        return;
-    evalScheduled_ = true;
-    // Same-timestamp events (e.g. simultaneous preemption notices) all
-    // fire before this evaluation, so one reconfiguration covers them.
-    sim_.schedule(sim_.now(), [this] { evaluate(); });
 }
 
 std::optional<ControllerDecision>
@@ -170,7 +180,7 @@ SpotServeSystem::fallbackDecision(int instances, double alpha) const
     dec.config = c;
     dec.throughput = controller_.throughputModel().throughput(c, seq_);
     dec.estimatedLatency = controller_.throughputModel().requestLatency(
-        c, seq_, alpha, options_.controller.arrivalCv);
+        c, seq_, alpha, controller_.options().arrivalCv);
     dec.meetsDemand = dec.throughput >= alpha;
     dec.instancesNeeded = controller_.space().instancesNeeded(c);
     return dec;
@@ -182,6 +192,15 @@ SpotServeSystem::decide(int instances, double alpha) const
     if (!options_.enableController)
         return fallbackDecision(instances, alpha);
     return controller_.chooseConfig(instances, alpha);
+}
+
+std::optional<ControllerDecision>
+SpotServeSystem::proposeConfig(double alpha)
+{
+    if (options_.dynamicAllocation)
+        manageFleet(alpha);
+    return decide(static_cast<int>(instances_.survivingInstances().size()),
+                  alpha);
 }
 
 void
@@ -204,7 +223,6 @@ SpotServeSystem::pruneStaleNotices()
 void
 SpotServeSystem::evaluate()
 {
-    evalScheduled_ = false;
     pruneStaleNotices();
     if (phase_ == Phase::Planning) {
         // A planning pass is in flight; it re-reads the fleet state when
@@ -218,22 +236,12 @@ SpotServeSystem::evaluate()
     if (sim_.now() < migrationTailUntil_) {
         // The previous migration's tail transfers are still on the wire;
         // re-evaluate once they finish.
-        evalScheduled_ = true;
-        sim_.schedule(migrationTailUntil_, [this] { evaluate(); });
+        scheduleEvalAt(migrationTailUntil_);
         return;
     }
 
-    // Plan for at least the declared expected load: the 30 s estimator is
-    // extremely noisy under CV = 6 burstiness, and scaling down during a
-    // lull only to be overloaded by the next burst would thrash.
-    const double alpha = std::max(requests_.estimatedArrivalRate(120.0),
-                                  options_.designArrivalRate);
-
-    if (options_.dynamicAllocation)
-        manageFleet(alpha);
-
-    const auto survivors = instances_.survivingInstances();
-    const auto decision = decide(static_cast<int>(survivors.size()), alpha);
+    const double alpha = planningRate();
+    const auto decision = proposeConfig(alpha);
     if (!decision) {
         if (hasDeployment() || phase_ != Phase::Idle)
             suspendServing();
@@ -267,13 +275,7 @@ SpotServeSystem::shouldReconfigure(const ControllerDecision &decision,
     // Voluntary change (e.g. new capacity joined): only worth a
     // reconfiguration when the deployment is struggling or the win is
     // substantial; otherwise the newcomers wait in the candidate pool.
-    const double sustained = std::max(requests_.estimatedArrivalRate(60.0),
-                                      options_.designArrivalRate);
-    return worthReconfiguring(
-        controller_.throughputModel(), seq_, deployment().config,
-        controller_.space().instancesNeeded(deployment().config), decision,
-        alpha, sustained, requests_.pendingCount(),
-        options_.controller.arrivalCv, options_.controller.sloLatency);
+    return worthReconfiguring(decision, alpha);
 }
 
 double
@@ -298,9 +300,9 @@ SpotServeSystem::planningDuration(const par::ParallelConfig &target,
             }
         }
     }
-    return options_.planning.totalTime(stats.candidates, stats.coldEvals,
-                                       survivors, slots, identity,
-                                       spec_.numLayers(), survivors * gpi);
+    return cost::PlanningLatencyModel::totalTime(
+        stats.candidates, stats.coldEvals, survivors, slots, identity,
+        spec_.numLayers(), survivors * gpi);
 }
 
 void
@@ -339,10 +341,9 @@ SpotServeSystem::finishPlanning()
 
     // Re-validate the decision against the fleet as it stands now: joins,
     // notices or preemptions may have landed while the pass ran.
-    const double alpha = std::max(requests_.estimatedArrivalRate(120.0),
-                                  options_.designArrivalRate);
-    const auto survivors = instances_.survivingInstances();
-    const auto decision = decide(static_cast<int>(survivors.size()), alpha);
+    const double alpha = planningRate();
+    const auto decision = decide(
+        static_cast<int>(instances_.survivingInstances().size()), alpha);
     if (!decision) {
         suspendServing();
         return;
@@ -360,16 +361,12 @@ SpotServeSystem::manageFleet(double alpha)
     if (!desired)
         return;
     const int want = std::min(options_.maxDynamicInstances,
-                              desired->instancesNeeded +
-                                  options_.candidatePoolSize);
+                              desired->instancesNeeded + kCandidatePoolSize);
     const int have = instances_.planningCount();
     if (have < want) {
-        // Line 8: allocate immediately; instances join after the
-        // acquisition lead time and trigger another evaluation.
-        instances_.requestInstances(
-            want - have, options_.dynamicUseOnDemand
-                             ? cluster::InstanceType::OnDemand
-                             : cluster::InstanceType::Spot);
+        // Line 8: allocate spot capacity immediately; instances join after
+        // the acquisition lead time and trigger another evaluation.
+        instances_.requestInstances(want - have, cluster::InstanceType::Spot);
     } else if (have > want) {
         // Line 10: release over-provisioned capacity (on-demand first),
         // but never an instance the active mesh is standing on.
@@ -393,78 +390,15 @@ SpotServeSystem::manageFleet(double alpha)
     }
 }
 
-void
-SpotServeSystem::workloadTick()
+PlannerOptions
+SpotServeSystem::plannerOptions(bool migrate_cache) const
 {
-    sim_.scheduleAfter(options_.workloadCheckInterval,
-                       [this] { workloadTick(); });
-    if (phase_ != Phase::Serving || !hasDeployment())
-        return;
-
-    const double alpha = std::max(requests_.estimatedArrivalRate(120.0),
-                                  options_.designArrivalRate);
-    if (options_.dynamicAllocation)
-        manageFleet(alpha);
-    const auto survivors = instances_.survivingInstances();
-    const auto decision = decide(static_cast<int>(survivors.size()), alpha);
-    if (!decision || decision->config == deployment().config) {
-        lastSuggestion_.reset();
-        suggestionStreak_ = 0;
-        return;
-    }
-
-    // Overload = sustained demand (60 s window) above capacity.
-    const double current_phi = controller_.throughputModel().throughput(
-        deployment().config, seq_);
-    const double sustained = std::max(requests_.estimatedArrivalRate(60.0),
-                                      options_.designArrivalRate);
-    const bool overloaded = current_phi < sustained;
-
-    if (!worthReconfiguring(
-            controller_.throughputModel(), seq_, deployment().config,
-            controller_.space().instancesNeeded(deployment().config),
-            *decision, alpha, sustained, requests_.pendingCount(),
-            options_.controller.arrivalCv,
-            options_.controller.sloLatency)) {
-        lastSuggestion_.reset();
-        suggestionStreak_ = 0;
-        return;
-    }
-
-    // Hysteresis: act immediately on overload, otherwise require the same
-    // suggestion on consecutive checks to avoid flapping on bursty
-    // arrival estimates (CV = 6).
-    if (lastSuggestion_ && *lastSuggestion_ == decision->config)
-        ++suggestionStreak_;
-    else
-        suggestionStreak_ = 1;
-    lastSuggestion_ = decision->config;
-
-    if (overloaded || suggestionStreak_ >= 2) {
-        lastSuggestion_.reset();
-        suggestionStreak_ = 0;
-        requestReconfig(decision->config,
-                        overloaded ? "overload detected" : "workload change");
-    }
-}
-
-std::vector<double>
-SpotServeSystem::pipelineCacheTokens() const
-{
-    std::vector<double> tokens;
-    if (!hasDeployment())
-        return tokens;
-    const auto &dep = deployment();
-    tokens.assign(dep.pipelines.size(), 0.0);
-    for (std::size_t d = 0; d < dep.pipelines.size(); ++d) {
-        if (!dep.pipelines[d])
-            continue;
-        // Physical (deduplicated) tokens: the KV bytes a migration must
-        // actually move; equals the logical sum without prefix sharing.
-        tokens[d] =
-            static_cast<double>(dep.pipelines[d]->kvTokensHeldPhysical());
-    }
-    return tokens;
+    PlannerOptions popts;
+    popts.progressive = options_.enableMigrationPlanner;
+    popts.memoryOpt = options_.enableMigrationPlanner;
+    popts.migrateCache = migrate_cache;
+    popts.linkSchedule = options_.linkDataPlane;
+    return popts;
 }
 
 void
@@ -474,7 +408,7 @@ SpotServeSystem::beginReconfig(const par::ParallelConfig &target,
     const auto survivors = instances_.survivingInstances();
 
     const auto snapshot = snapshotContext();
-    auto old_tokens = pipelineCacheTokens();
+    auto old_tokens = replicaCacheTokens();
 
     // A live pipeline can only be kept in place when the replica shape is
     // unchanged (its object serves the exact same (P, M, B) geometry).
@@ -614,11 +548,7 @@ SpotServeSystem::beginReconfig(const par::ParallelConfig &target,
         }
     }
 
-    PlannerOptions popts;
-    popts.progressive = options_.enableMigrationPlanner;
-    popts.memoryOpt = options_.enableMigrationPlanner;
-    popts.migrateCache = options_.enableArranger;
-    popts.linkSchedule = options_.linkDataPlane;
+    const PlannerOptions popts = plannerOptions(options_.enableArranger);
     // Migrate the cache only when moving it beats recomputing the drained
     // work; on a flip the planner assembles the no-cache plan from the
     // same analysis pass.
@@ -784,11 +714,7 @@ SpotServeSystem::startMigration()
             clearDeployment();
     }
 
-    PlannerOptions popts;
-    popts.progressive = options_.enableMigrationPlanner;
-    popts.memoryOpt = options_.enableMigrationPlanner;
-    popts.migrateCache = pm.migrateCache;
-    popts.linkSchedule = options_.linkDataPlane;
+    PlannerOptions popts = plannerOptions(pm.migrateCache);
 
     // Quote the plan against the data plane's *current* link state: a
     // previous migration's tail may still occupy NIC/disk ports, and the
@@ -798,23 +724,27 @@ SpotServeSystem::startMigration()
     // step finishes, so contention propagates into the activation events.
     // The last quote taken is what the commit below reserves.
     std::optional<TransferDataPlane::Quote> quote;
-    if (options_.linkDataPlane) {
-        // A plan whose interleaved schedule could not beat the serialized
-        // cursor still runs through the data plane, just with per-step
-        // wire barriers — either way the executed timeline is a feasible
-        // link schedule built from live link state.
-        quote = dataPlane_.preview(MigrationPlanner::transferSteps(pm.plan),
-                                   params_.migrationSetupTime,
-                                   pm.plan.linkScheduled);
-        planner_.retime(pm.plan, pm.target, popts, quote->stepStart,
-                        quote->stepFinish);
-    }
-
-    double duration = pm.plan.totalDuration;
-    double resume = pm.plan.resumeOffset;
-    std::vector<double> resumes = pm.plan.pipelineResume;
-    if (resumes.empty())
-        resumes.assign(pm.target.dp, resume);
+    double duration = 0.0;
+    std::vector<double> resumes;
+    auto quote_plan = [&] {
+        if (options_.linkDataPlane) {
+            // A plan whose interleaved schedule could not beat the
+            // serialized cursor still runs through the data plane, just
+            // with per-step wire barriers — either way the executed
+            // timeline is a feasible link schedule built from live link
+            // state.
+            quote = dataPlane_.preview(
+                MigrationPlanner::transferSteps(pm.plan),
+                params_.migrationSetupTime, pm.plan.linkScheduled);
+            planner_.retime(pm.plan, pm.target, popts, quote->stepStart,
+                            quote->stepFinish);
+        }
+        duration = pm.plan.totalDuration;
+        resumes = pm.plan.pipelineResume;
+        if (resumes.empty())
+            resumes.assign(pm.target.dp, pm.plan.resumeOffset);
+    };
+    quote_plan();
     bool cache_ok = pm.migrateCache && pm.plan.cacheMigrated;
 
     // Fault tolerance (§4.2): if the plan cannot finish inside the
@@ -830,28 +760,15 @@ SpotServeSystem::startMigration()
         if (duration > remaining && cache_ok) {
             cache_ok = false;
             popts.migrateCache = false;
-            const auto snapshot = snapshotContext();
-            pm.plan = planner_.plan(snapshot, pm.mapping, pm.target,
+            pm.plan = planner_.plan(snapshotContext(), pm.mapping, pm.target,
                                     pm.oldTokens, popts);
-            if (options_.linkDataPlane) {
-                quote = dataPlane_.preview(
-                    MigrationPlanner::transferSteps(pm.plan),
-                    params_.migrationSetupTime, pm.plan.linkScheduled);
-                planner_.retime(pm.plan, pm.target, popts,
-                                quote->stepStart, quote->stepFinish);
-            }
-            duration = pm.plan.totalDuration;
-            resume = pm.plan.resumeOffset;
-            resumes = pm.plan.pipelineResume;
-            if (resumes.empty())
-                resumes.assign(pm.target.dp, resume);
+            quote_plan();
         }
         if (duration > remaining && remaining >= 0.0) {
             const double overflow = duration - remaining;
             const double slowdown =
                 params_.interBandwidth / params_.diskBandwidth;
             duration = remaining + overflow * slowdown;
-            resume = duration;
             resumes.assign(pm.target.dp, duration);
         }
     }
@@ -859,7 +776,6 @@ SpotServeSystem::startMigration()
     // A deployment built from nothing also pays the engine launch.
     if (!pm.hadDeployment) {
         duration += params_.engineRestartTime;
-        resume += params_.engineRestartTime;
         for (double &r : resumes)
             r += params_.engineRestartTime;
     }
@@ -1015,12 +931,10 @@ SpotServeSystem::startMigration()
                         const TransferDataPlane::PlanFailure &failure) {
             onMigrationFailed(fault_epoch, failure);
         };
-        if (options_.migrationDeadlineFactor > 0.0) {
-            // Headroom over the quoted makespan: only a link fault that
-            // stretches the realized schedule can trip it.
-            so.deadline = options_.migrationDeadlineFactor *
-                          std::max(pm.plan.totalDuration, 1.0);
-        }
+        // Headroom over the quoted makespan: only a link fault that
+        // stretches the realized schedule can trip the deadline.
+        so.deadline =
+            kMigrationDeadlineFactor * std::max(pm.plan.totalDuration, 1.0);
         const auto committed =
             dataPlane_.submit(std::move(*quote), std::move(so));
         pm.planId = committed.planId;
@@ -1057,14 +971,7 @@ SpotServeSystem::activate()
         }
         // Defensive: nothing else should still be live in the old
         // deployment (affected replicas were removed at startMigration).
-        for (auto &p : old.pipelines) {
-            if (p) {
-                p->haltNow();
-                restartAndRequeue(p->takeBatch());
-                p.reset();
-            }
-        }
-        clearDeployment();
+        requeueDeployment();
     }
 
     installDeployment(pm.target, std::move(pm.mapping.mesh),
@@ -1168,7 +1075,7 @@ SpotServeSystem::onMigrationFailed(
                  "); recovering");
 
     if (!options_.faultRecovery) {
-        coldRestartAfterFault();
+        abortFailedMigration(/*cold_restart=*/true);
         return;
     }
 
@@ -1209,7 +1116,7 @@ SpotServeSystem::onMigrationFailed(
         // no-cache route by re-planning fresh (the retry's beginReconfig
         // snapshots current holdings, where the dead source holds
         // nothing), with the kept replicas serving through.
-        abortFailedMigration();
+        abortFailedMigration(/*cold_restart=*/false);
     }
     // Partial loss: the scheduled activation proceeds; activate()
     // requeues the compromised replicas' work, salvages the rest, and
@@ -1217,7 +1124,7 @@ SpotServeSystem::onMigrationFailed(
 }
 
 void
-SpotServeSystem::abortFailedMigration()
+SpotServeSystem::abortFailedMigration(bool cold_restart)
 {
     auto pm = std::move(*pending_);
     pending_.reset();
@@ -1225,8 +1132,18 @@ SpotServeSystem::abortFailedMigration()
     if (pm.planId >= 0)
         dataPlane_.cancelPlan(pm.planId);
     for (auto &batch : pm.inherited) {
-        requestsRecovered_ += static_cast<long>(batch.size());
+        if (!cold_restart)
+            requestsRecovered_ += static_cast<long>(batch.size());
         restartAndRequeue(std::move(batch));
+    }
+    if (cold_restart) {
+        // The ablation still must not lose work — crash consistency of
+        // the request queue is an invariant, not a feature flag — but it
+        // gives up every kept replica and all landed context, then pays a
+        // cold deployment from scratch.
+        suspendServing();
+        scheduleEval();
+        return;
     }
     // Kept replicas (if any) are still live inside the old deployment and
     // keep serving through the retry; the scheduled activate() no-ops on
@@ -1238,27 +1155,9 @@ SpotServeSystem::abortFailedMigration()
 }
 
 void
-SpotServeSystem::coldRestartAfterFault()
-{
-    auto pm = std::move(*pending_);
-    pending_.reset();
-    migrationTailUntil_ = sim_.now();
-    if (pm.planId >= 0)
-        dataPlane_.cancelPlan(pm.planId);
-    // The ablation still must not lose work — crash consistency of the
-    // request queue is an invariant, not a feature flag — but it gives
-    // up every kept replica and all landed context, then pays a cold
-    // deployment from scratch.
-    for (auto &batch : pm.inherited)
-        restartAndRequeue(std::move(batch));
-    suspendServing();
-    scheduleEval();
-}
-
-void
 SpotServeSystem::scheduleRetryEval()
 {
-    if (migrationRetryCount_ >= options_.migrationMaxRetries) {
+    if (migrationRetryCount_ >= kMigrationMaxRetries) {
         // Bounded: beyond the retry budget stop thrashing, tear down and
         // rebuild cold.
         migrationRetryCount_ = 0;
@@ -1268,20 +1167,15 @@ SpotServeSystem::scheduleRetryEval()
     }
     ++migrationRetryCount_;
     ++migrationRetries_;
-    const double delay = options_.migrationRetryBackoff *
-                         std::pow(2.0, migrationRetryCount_ - 1);
+    const double delay =
+        kMigrationRetryBackoff * std::pow(2.0, migrationRetryCount_ - 1);
     sim_.scheduleAfter(delay, [this] { scheduleEval(); });
 }
 
 void
 SpotServeSystem::suspendServing()
 {
-    if (hasDeployment()) {
-        auto batches = haltAndCollectAll();
-        for (auto &b : batches)
-            restartAndRequeue(std::move(b));
-        clearDeployment();
-    }
+    requeueDeployment();
     phase_ = Phase::Idle;
     sim::logWarn("t=" + std::to_string(sim_.now()) +
                  " SpotServe: no feasible configuration; serving suspended");

@@ -24,8 +24,11 @@
  * whole-deployment drain — stays selectable as overlappedReconfig = false
  * for the Figure 9-style ablation.  Every paper component can likewise be
  * disabled independently.  The serving engine underneath (continuous
- * batching, KV-budget admission, paged KV, prefix sharing) is shared with
- * the baselines and tuned through SpotServeOptions::engine.
+ * batching, KV-budget admission, paged KV, prefix sharing) and the loop
+ * around the controller (serving::BaseServingSystem: coalesced
+ * evaluation, design-rate floors, voluntary-change gate, workload
+ * monitor) are shared with the baselines; this class adds the controller
+ * ablation, dynamic fleet management and the phases above.
  */
 
 #ifndef SPOTSERVE_CORE_SPOTSERVE_SYSTEM_H
@@ -40,7 +43,6 @@
 #include "core/interruption_arranger.h"
 #include "core/migration_planner.h"
 #include "core/transfer_data_plane.h"
-#include "costmodel/planning_latency_model.h"
 #include "serving/base_system.h"
 
 namespace spotserve {
@@ -65,36 +67,25 @@ struct SpotServeOptions
     serving::EngineOptions engine{};
 
     /**
-     * Expected workload rate used to size the very first deployment (the
-     * arrival-rate estimator has no history at t=0); subsequent decisions
-     * use max(estimate, designArrivalRate) only while no deployment
-     * exists.
+     * Expected workload rate (requests/s) every decision floors its
+     * arrival estimate at; it also sizes the very first deployment (the
+     * estimator has no history at t=0).  See
+     * BaseServingSystem::planningRate.
      */
     double designArrivalRate = 0.0;
 
-    /** Workload monitor period (the paper samples alpha_t over 30 s). */
-    double workloadCheckInterval = 30.0;
-
     /**
      * Algorithm 1 lines 6-10 live: allocate instances when the chosen
-     * configuration needs more than the fleet holds and release
-     * over-provisioned capacity (on-demand first).  Off by default — the
-     * paper's experiments replay pre-generated availability traces; turn
-     * on when driving a live (simulated) cloud.
+     * configuration needs more than the fleet holds (spot, plus a
+     * two-instance candidate pool) and release over-provisioned capacity
+     * (on-demand first).  Off by default — the paper's experiments replay
+     * pre-generated availability traces; turn on when driving a live
+     * (simulated) cloud.
      */
     bool dynamicAllocation = false;
 
     /** Upper bound on the fleet the controller may request. */
     int maxDynamicInstances = 12;
-
-    /**
-     * Spare instances kept "as a candidate pool for smoother instance
-     * substitution" (§3.2; the paper keeps two).
-     */
-    int candidatePoolSize = 2;
-
-    /** Allocate on-demand (true) or spot (false) in dynamic mode. */
-    bool dynamicUseOnDemand = false;
 
     /**
      * Overlap reconfiguration with serving (the default, §4.1-4.2):
@@ -108,9 +99,6 @@ struct SpotServeOptions
      * whole-deployment drain, the pre-overlap behaviour.
      */
     bool overlappedReconfig = true;
-
-    /** Wall-clock model of one planning pass (overlapped mode). */
-    cost::PlanningLatencyModel planning{};
 
     /**
      * Drive context migration through the link-level transfer data plane
@@ -129,26 +117,14 @@ struct SpotServeOptions
      * Crash-consistent recovery from unannounced faults (hard
      * preemptions and mid-migration deaths): when an in-flight transfer
      * schedule dies, salvage the replicas whose context already landed,
-     * requeue the rest, and re-plan with bounded retry + exponential
-     * backoff.  Disable for the abort-and-cold-restart ablation: any
-     * mid-migration failure tears the whole deployment down and pays a
-     * fresh cold start.
+     * requeue the rest, and re-plan with bounded retry (three rounds,
+     * backing off 1, 2, 4 s) before a cold restart; a transfer that link
+     * faults stretch past 3x its quoted makespan counts as failed.
+     * Disable for the abort-and-cold-restart ablation: any mid-migration
+     * failure tears the whole deployment down and pays a fresh cold
+     * start.
      */
     bool faultRecovery = true;
-
-    /** Re-plan attempts after a failed migration before cold restart. */
-    int migrationMaxRetries = 3;
-
-    /** Base seconds of the exponential retry backoff (base * 2^k). */
-    double migrationRetryBackoff = 1.0;
-
-    /**
-     * Per-plan deadline as a multiple of the quoted link-schedule
-     * makespan: a transfer stretched past it by link faults is failed
-     * and re-planned instead of stalling the reconfiguration forever.
-     * 0 disables.
-     */
-    double migrationDeadlineFactor = 3.0;
 
     ControllerOptions controller{};
 };
@@ -190,7 +166,6 @@ class SpotServeSystem : public serving::BaseServingSystem
     long pipelinesKeptServing() const { return pipelinesKeptServing_; }
     /** Reconfigurations where at least one replica never stopped. */
     int partialReconfigs() const { return partialReconfigs_; }
-    const SpotServeOptions &options() const { return options_; }
     /** Migrations aborted by instance death, link fault, or deadline. */
     long migrationAborts() const { return migrationAborts_; }
     /** Re-plan rounds scheduled after migration failures. */
@@ -199,12 +174,6 @@ class SpotServeSystem : public serving::BaseServingSystem
     long requestsRecovered() const { return requestsRecovered_; }
     /** KV blocks whose migrated context survived a failed plan. */
     long salvagedBlocks() const { return salvagedBlocks_; }
-    /** Preemption notices currently outstanding (stale ones pruned). */
-    int activeNotices() const { return static_cast<int>(notices_.size()); }
-    /** The migration transfer data plane (link busy state, counters). */
-    const TransferDataPlane &dataPlane() const { return dataPlane_; }
-    /** Mutable data plane access (fault injection hooks). */
-    TransferDataPlane &dataPlaneMutable() { return dataPlane_; }
     /** Migrations whose schedule hit links still busy from another. */
     long contendedMigrations() const
     {
@@ -214,6 +183,16 @@ class SpotServeSystem : public serving::BaseServingSystem
 
   protected:
     void onPipelineHalted(engine::InferencePipeline &pipeline) override;
+    void evaluate() override;
+    /** Survivors only (noticed instances are leaving); dynamic mode
+     *  first grows or shrinks the fleet for @p alpha. */
+    std::optional<ControllerDecision> proposeConfig(double alpha) override;
+    void onWorkloadChange(const par::ParallelConfig &config,
+                          const std::string &reason) override
+    {
+        requestReconfig(config, reason);
+    }
+    bool reconfiguring() const override { return phase_ != Phase::Serving; }
 
   private:
     enum class Phase
@@ -226,9 +205,11 @@ class SpotServeSystem : public serving::BaseServingSystem
                    ///< keep serving (overlapped mode).
     };
 
-    /** Coalesced deferred reconfiguration evaluation. */
-    void scheduleEval();
-    void evaluate();
+    /**
+     * An instance left the cluster (preempted or released): drop its
+     * notice and holdings and stop the replicas standing on it.
+     */
+    void loseInstance(const cluster::Instance &instance, bool preempted);
 
     /**
      * Route a reconfiguration decision: synchronous mode (or no live
@@ -255,9 +236,6 @@ class SpotServeSystem : public serving::BaseServingSystem
     double planningDuration(const par::ParallelConfig &target,
                             int survivors) const;
 
-    /** Periodic workload monitor (overload / scale-down detection). */
-    void workloadTick();
-
     /** Algorithm 1 lines 6-10: grow/shrink the fleet (dynamic mode). */
     void manageFleet(double alpha);
 
@@ -282,11 +260,12 @@ class SpotServeSystem : public serving::BaseServingSystem
     void onMigrationFailed(long epoch,
                            const TransferDataPlane::PlanFailure &failure);
 
-    /** Whole-plan abort: requeue all inherited work and re-plan. */
-    void abortFailedMigration();
-
-    /** faultRecovery = false ablation: tear down and cold restart. */
-    void coldRestartAfterFault();
+    /**
+     * Whole-plan abort: requeue all inherited work and re-plan, or with
+     * @p cold_restart (the faultRecovery = false ablation) tear down and
+     * cold restart.
+     */
+    void abortFailedMigration(bool cold_restart);
 
     /** Retry with exponential backoff (bounded; cold restart beyond). */
     void scheduleRetryEval();
@@ -294,21 +273,18 @@ class SpotServeSystem : public serving::BaseServingSystem
     /** Drop notices whose instance is no longer awaiting preemption. */
     void pruneStaleNotices();
 
-    /** Cached tokens per live replica (inheritance ranking). */
-    std::vector<double> pipelineCacheTokens() const;
+    /** The planner's switches under this system's ablations. */
+    PlannerOptions plannerOptions(bool migrate_cache) const;
 
     /** Tear everything down and queue all work (cannot serve). */
     void suspendServing();
 
     SpotServeOptions options_;
-    ParallelizationController controller_;
     DeviceMapper mapper_;
     MigrationPlanner planner_;
     InterruptionArranger arranger_;
-    TransferDataPlane dataPlane_;
 
     Phase phase_ = Phase::Idle;
-    bool evalScheduled_ = false;
     bool pendingReconfig_ = false;
     /** True while beginReconfig iterates the pipelines to arrange halts. */
     bool arrangingHalts_ = false;
@@ -373,10 +349,6 @@ class SpotServeSystem : public serving::BaseServingSystem
 
     /** Fixed parallelism once chosen (controller ablation). */
     mutable std::optional<par::ParallelConfig> fixedParallelism_;
-
-    /** Workload-monitor hysteresis. */
-    std::optional<par::ParallelConfig> lastSuggestion_;
-    int suggestionStreak_ = 0;
 
     /** Reason carried from the planning request to the commit. */
     std::string planReason_;

@@ -7,7 +7,7 @@ namespace cost {
 
 double
 PlanningLatencyModel::chooseConfigTime(std::size_t candidates,
-                                       std::size_t cold_evals) const
+                                       std::size_t cold_evals)
 {
     cold_evals = std::min(cold_evals, candidates);
     return static_cast<double>(cold_evals) * candidateEvalTime +
@@ -17,7 +17,7 @@ PlanningLatencyModel::chooseConfigTime(std::size_t candidates,
 
 double
 PlanningLatencyModel::mapperTime(int instances, int slots,
-                                 bool identity_fast_path) const
+                                 bool identity_fast_path)
 {
     if (instances <= 0 || slots <= 0)
         return 0.0;
@@ -32,7 +32,7 @@ PlanningLatencyModel::mapperTime(int instances, int slots,
 }
 
 double
-PlanningLatencyModel::plannerTime(int layers, int snapshot_gpus) const
+PlanningLatencyModel::plannerTime(int layers, int snapshot_gpus)
 {
     if (layers <= 0)
         return 0.0;
@@ -46,7 +46,7 @@ double
 PlanningLatencyModel::totalTime(std::size_t candidates,
                                 std::size_t cold_evals, int instances,
                                 int slots, bool identity_fast_path,
-                                int layers, int snapshot_gpus) const
+                                int layers, int snapshot_gpus)
 {
     return fixedOverhead + chooseConfigTime(candidates, cold_evals) +
            mapperTime(instances, slots, identity_fast_path) +

@@ -30,22 +30,22 @@ namespace cost {
 struct PlanningLatencyModel
 {
     /** Plan dissemination + bookkeeping per pass (RPC fan-out). */
-    double fixedOverhead = 0.020;
+    static constexpr double fixedOverhead = 0.020;
 
     /** One cold candidate evaluation (throughput + queueing model). */
-    double candidateEvalTime = 4.0e-6;
+    static constexpr double candidateEvalTime = 4.0e-6;
 
     /** One memoised candidate lookup (cache hit). */
-    double candidateLookupTime = 0.1e-6;
+    static constexpr double candidateLookupTime = 0.1e-6;
 
     /** Inter-instance Kuhn-Munkres: per n^3 unit of the square solve. */
-    double matchingUnitTime = 0.4e-6;
+    static constexpr double matchingUnitTime = 0.4e-6;
 
     /** One intra-instance (instance, slot) sub-matching + edge scoring. */
-    double slotPairTime = 2.0e-6;
+    static constexpr double slotPairTime = 2.0e-6;
 
     /** Migration planner: per (layer x snapshot GPU) analysis unit. */
-    double plannerUnitTime = 0.15e-6;
+    static constexpr double plannerUnitTime = 0.15e-6;
 
     /**
      * Algorithm 1 sweep time: @p cold_evals candidates paid the full
@@ -53,24 +53,25 @@ struct PlanningLatencyModel
      * memoisation cache — repeated sweeps on an unchanged fleet are
      * O(changed), not O(space).
      */
-    double chooseConfigTime(std::size_t candidates,
-                            std::size_t cold_evals) const;
+    static double chooseConfigTime(std::size_t candidates,
+                                   std::size_t cold_evals);
 
     /**
      * Device-mapper time for @p instances survivors and @p slots
      * instance-sized position groups; @p identity_fast_path models the
      * coverage probe that skips both Hungarian stages.
      */
-    double mapperTime(int instances, int slots,
-                      bool identity_fast_path) const;
+    static double mapperTime(int instances, int slots,
+                             bool identity_fast_path);
 
     /** Migration-planner time over @p layers and @p snapshot_gpus. */
-    double plannerTime(int layers, int snapshot_gpus) const;
+    static double plannerTime(int layers, int snapshot_gpus);
 
     /** One full pass: sweep + mapping + migration planning. */
-    double totalTime(std::size_t candidates, std::size_t cold_evals,
-                     int instances, int slots, bool identity_fast_path,
-                     int layers, int snapshot_gpus) const;
+    static double totalTime(std::size_t candidates, std::size_t cold_evals,
+                            int instances, int slots,
+                            bool identity_fast_path, int layers,
+                            int snapshot_gpus);
 };
 
 } // namespace cost

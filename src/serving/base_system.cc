@@ -2,11 +2,19 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "simcore/logging.h"
 
 namespace spotserve {
 namespace serving {
+
+namespace {
+
+/** Workload monitor period (the paper samples alpha_t over 30 s). */
+constexpr double kWorkloadCheckInterval = 30.0;
+
+} // namespace
 
 BaseServingSystem::BaseServingSystem(sim::Executor &executor,
                                      cluster::InstanceManager &instances,
@@ -14,10 +22,16 @@ BaseServingSystem::BaseServingSystem(sim::Executor &executor,
                                      const model::ModelSpec &spec,
                                      const cost::CostParams &params,
                                      const cost::SeqSpec &seq,
-                                     EngineOptions engine)
+                                     double design_rate,
+                                     EngineOptions engine,
+                                     cost::ConfigSpaceOptions space,
+                                     core::ControllerOptions controller)
     : sim_(executor), instances_(instances), requests_(requests),
       spec_(spec), params_(params), seq_(seq), latency_(spec, params),
-      memory_(spec, params), throughput_(latency_), engine_(engine)
+      memory_(spec, params), throughput_(latency_),
+      controller_(spec, params, seq, std::move(space), controller),
+      dataPlane_(executor, params), designArrivalRate_(design_rate),
+      engine_(engine)
 {
     if (engine_.kvBlockTokens < 1)
         throw std::invalid_argument(
@@ -31,6 +45,92 @@ BaseServingSystem::BaseServingSystem(sim::Executor &executor,
 BaseServingSystem::~BaseServingSystem()
 {
     requests_.setQueuedObserver(nullptr);
+}
+
+void
+BaseServingSystem::scheduleEvalAt(sim::SimTime when)
+{
+    if (evalScheduled_)
+        return;
+    evalScheduled_ = true;
+    sim_.schedule(when, [this] {
+        evalScheduled_ = false;
+        evaluate();
+    });
+}
+
+double
+BaseServingSystem::planningRate() const
+{
+    return std::max(requests_.estimatedArrivalRate(120.0),
+                    designArrivalRate_);
+}
+
+double
+BaseServingSystem::sustainedRate() const
+{
+    return std::max(requests_.estimatedArrivalRate(60.0),
+                    designArrivalRate_);
+}
+
+bool
+BaseServingSystem::worthReconfiguring(
+    const core::ControllerDecision &decision, double alpha) const
+{
+    const par::ParallelConfig &current = deployment_->config;
+    return core::worthReconfiguring(
+        controller_.throughputModel(), seq_, current,
+        controller_.space().instancesNeeded(current), decision, alpha,
+        sustainedRate(), requests_.pendingCount(),
+        controller_.options().arrivalCv, controller_.options().sloLatency);
+}
+
+std::optional<core::ControllerDecision>
+BaseServingSystem::proposeConfig(double alpha)
+{
+    return controller_.chooseConfig(instances_.usableCount(), alpha);
+}
+
+void
+BaseServingSystem::startWorkloadMonitor()
+{
+    sim_.scheduleAfter(kWorkloadCheckInterval, [this] { workloadTick(); });
+}
+
+void
+BaseServingSystem::workloadTick()
+{
+    startWorkloadMonitor();
+    if (!deployment_ || reconfiguring())
+        return;
+    const double alpha = planningRate();
+    const auto decision = proposeConfig(alpha);
+    // worthReconfiguring also turns down the deployed configuration.
+    if (!decision || !worthReconfiguring(*decision, alpha)) {
+        lastSuggestion_.reset();
+        suggestionStreak_ = 0;
+        return;
+    }
+    // Overload = sustained demand above capacity.
+    const bool overloaded =
+        controller_.throughputModel().throughput(deployment_->config,
+                                                 seq_) < sustainedRate();
+
+    // Hysteresis: act immediately on overload, otherwise require the same
+    // suggestion on consecutive checks to avoid flapping on bursty
+    // arrival estimates (CV = 6).
+    if (lastSuggestion_ && *lastSuggestion_ == decision->config)
+        ++suggestionStreak_;
+    else
+        suggestionStreak_ = 1;
+    lastSuggestion_ = decision->config;
+
+    if (overloaded || suggestionStreak_ >= 2) {
+        lastSuggestion_.reset();
+        suggestionStreak_ = 0;
+        onWorkloadChange(decision->config, overloaded ? "overload detected"
+                                                      : "workload change");
+    }
 }
 
 void
@@ -157,7 +257,7 @@ BaseServingSystem::bestPrefixDiscount(const engine::ActiveRequest &head) const
 long
 BaseServingSystem::replicaKvBudget(const par::ParallelConfig &config) const
 {
-    const long budget = memory_.kvBudgetTokens(config, memOptReserve_);
+    const long budget = memory_.kvBudgetTokens(config, memOptReserve());
     // A deployed configuration passed MemoryModel::fits, so the budget is
     // positive; hand-built deployments that don't fit get a loud 1-token
     // budget (they can admit nothing) rather than a crash or an overrun.
@@ -361,7 +461,7 @@ BaseServingSystem::makePipeline(const par::ParallelConfig &config, int index)
     batching.kvAdmissionMode = engine_.kvAdmissionMode;
     if (engine_.kvAdmissionMode == engine::KvAdmissionMode::Optimistic) {
         const cost::KvWatermarks wm = memory_.kvWatermarks(
-            config, engine_.kvBlockTokens, memOptReserve_);
+            config, engine_.kvBlockTokens, memOptReserve());
         batching.kvHighWatermarkBlocks = wm.high;
         batching.kvLowWatermarkBlocks = wm.low;
     }
@@ -517,21 +617,23 @@ BaseServingSystem::dispatchAll()
     }
 }
 
-std::vector<std::vector<engine::ActiveRequest>>
-BaseServingSystem::haltAndCollectAll()
+void
+BaseServingSystem::requeueDeployment()
 {
-    std::vector<std::vector<engine::ActiveRequest>> out;
     if (!deployment_)
-        return out;
-    out.resize(deployment_->pipelines.size());
-    for (std::size_t d = 0; d < deployment_->pipelines.size(); ++d) {
-        auto &p = deployment_->pipelines[d];
+        return;
+    // Halt every replica before requeueing any work, so the queued work
+    // wakes no replica that is about to go.
+    std::vector<std::vector<engine::ActiveRequest>> batches;
+    for (auto &p : deployment_->pipelines) {
         if (!p)
             continue;
         p->haltNow();
-        out[d] = p->takeBatch();
+        batches.push_back(p->takeBatch());
     }
-    return out;
+    for (auto &b : batches)
+        restartAndRequeue(std::move(b));
+    clearDeployment();
 }
 
 std::vector<engine::ActiveRequest>
@@ -591,24 +693,15 @@ BaseServingSystem::snapshotContext() const
     }
     // Fill cache tokens from live batches: every GPU of replica d holds
     // that replica's KV slice for its own stage/shard.
-    if (deployment_) {
-        for (std::size_t d = 0; d < deployment_->pipelines.size(); ++d) {
-            const auto &p = deployment_->pipelines[d];
-            if (!p)
-                continue;
-            // Physical (deduplicated) tokens: with prefix sharing the KV
-            // bytes a migration must move are the store's live blocks,
-            // not the per-request logical sum.
-            const double tokens =
-                static_cast<double>(p->kvTokensHeldPhysical());
-            if (tokens <= 0.0)
-                continue;
-            for (par::GpuId g :
-                 deployment_->mesh.pipelineGpus(static_cast<int>(d))) {
-                for (auto &ctx : snap.gpus) {
-                    if (ctx.gpu == g)
-                        ctx.cacheTokens = tokens;
-                }
+    const auto tokens = replicaCacheTokens();
+    for (std::size_t d = 0; d < tokens.size(); ++d) {
+        if (tokens[d] <= 0.0)
+            continue;
+        for (par::GpuId g :
+             deployment_->mesh.pipelineGpus(static_cast<int>(d))) {
+            for (auto &ctx : snap.gpus) {
+                if (ctx.gpu == g)
+                    ctx.cacheTokens = tokens[d];
             }
         }
     }
@@ -626,6 +719,19 @@ BaseServingSystem::snapshotContext() const
                   return a.gpu < b.gpu;
               });
     return snap;
+}
+
+std::vector<double>
+BaseServingSystem::replicaCacheTokens() const
+{
+    std::vector<double> tokens;
+    if (!deployment_)
+        return tokens;
+    for (const auto &p : deployment_->pipelines) {
+        tokens.push_back(
+            p ? static_cast<double>(p->kvTokensHeldPhysical()) : 0.0);
+    }
+    return tokens;
 }
 
 void

@@ -4,9 +4,13 @@
  *
  * SpotServe and both baselines run on the same engine substrate ("they are
  * implemented with the same inference engine as SpotServe to avoid
- * unfairness", §6.1): this base class owns the deployment (configuration,
- * device mesh, pipelines), the dispatch loop, context-daemon holdings, and
- * configuration history.
+ * unfairness", §6.1) and the same Algorithm 1 optimizer (Fig. 8): this
+ * base class owns the deployment (configuration, device mesh, pipelines),
+ * the dispatch loop, context-daemon holdings, configuration history, and
+ * the reconfiguration loop around the optimizer — controller, transfer
+ * data plane, coalesced scheduleEval -> evaluate(), design-rate floors,
+ * the voluntary-change gate and the workload monitor.  Systems differ
+ * only in their hooks.
  */
 
 #ifndef SPOTSERVE_SERVING_BASE_SYSTEM_H
@@ -17,6 +21,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/controller.h"
+#include "core/transfer_data_plane.h"
 #include "costmodel/latency_model.h"
 #include "costmodel/memory_model.h"
 #include "costmodel/throughput_model.h"
@@ -79,11 +85,20 @@ struct EngineOptions
 class BaseServingSystem : public ServingSystem
 {
   public:
+    /**
+     * @param design_rate expected requests/s every decision floors the
+     *        arrival estimate at (it sizes the first deployment too).
+     * @param space the controller's search space; its memOptPlanner also
+     *        sets the migration reserve the KV budget deducts.
+     */
     BaseServingSystem(sim::Executor &executor,
                       cluster::InstanceManager &instances,
                       RequestManager &requests, const model::ModelSpec &spec,
                       const cost::CostParams &params,
-                      const cost::SeqSpec &seq, EngineOptions engine = {});
+                      const cost::SeqSpec &seq, double design_rate = 0.0,
+                      EngineOptions engine = {},
+                      cost::ConfigSpaceOptions space = {},
+                      core::ControllerOptions controller = {});
 
     /** Detaches from the request manager's queued observer. */
     ~BaseServingSystem() override;
@@ -99,6 +114,9 @@ class BaseServingSystem : public ServingSystem
 
     /** Current configuration if a deployment is active. */
     std::optional<par::ParallelConfig> currentConfig() const;
+
+    /** Where migrations and cold loads run (faults attach here). */
+    core::TransferDataPlane &dataPlane() { return dataPlane_; }
 
     /**
      * Requests that went through the shared restart path (progress reset
@@ -295,12 +313,9 @@ class BaseServingSystem : public ServingSystem
      */
     void dispatchAll();
 
-    /**
-     * Halt every executing pipeline immediately and collect all batches,
-     * indexed by replica.  Committed progress is preserved; the caller
-     * decides whether the cache context survives.
-     */
-    std::vector<std::vector<engine::ActiveRequest>> haltAndCollectAll();
+    /** Halt every replica, requeue all their work restarted, and drop
+     *  the deployment (no-op without one). */
+    void requeueDeployment();
 
     /** Remove one replica's pipeline and return its batch. */
     std::vector<engine::ActiveRequest> removePipeline(int idx);
@@ -329,6 +344,13 @@ class BaseServingSystem : public ServingSystem
      * tokens filled in from the live pipelines' batches.
      */
     engine::ContextSnapshot snapshotContext() const;
+
+    /**
+     * KV tokens each replica holds, physical (deduplicated): with prefix
+     * sharing the bytes a migration must move are the store's live
+     * blocks, not the per-request logical sum.  0 for broken replicas.
+     */
+    std::vector<double> replicaCacheTokens() const;
 
     /** Drop the holdings of an instance that left the cluster. */
     void forgetInstance(cluster::InstanceId id);
@@ -363,16 +385,6 @@ class BaseServingSystem : public ServingSystem
      */
     virtual std::vector<engine::ActiveRequest>
     admitAtBoundary(engine::InferencePipeline &pipeline, int free_slots);
-
-    /**
-     * Whether the migration reserve deducted from the KV budget assumes
-     * the memory-optimised planner (Algorithm 2).  Must match the
-     * feasibility check that picked the deployment
-     * (ConfigSpaceOptions::memOptPlanner), or the enforced budget
-     * overstates the real headroom during migrations.
-     */
-    void setMemOptReserve(bool enabled) { memOptReserve_ = enabled; }
-    bool memOptReserve() const { return memOptReserve_; }
 
     /** The KV token budget one replica of @p config gets at runtime. */
     long replicaKvBudget(const par::ParallelConfig &config) const;
@@ -417,6 +429,55 @@ class BaseServingSystem : public ServingSystem
     std::unique_ptr<engine::InferencePipeline>
     makePipeline(const par::ParallelConfig &config, int index);
 
+    /**
+     * Run evaluate() after the current instant's other events, so
+     * same-time triggers (simultaneous joins or notices) coalesce into
+     * one evaluation; scheduleEvalAt defers it to @p when.  No-op while
+     * one is pending.
+     */
+    void scheduleEval() { scheduleEvalAt(sim_.now()); }
+    void scheduleEvalAt(sim::SimTime when);
+
+    /** Hook: re-decide the deployment (scheduleEval's target). */
+    virtual void evaluate() {}
+
+    /**
+     * The 120 s arrival estimate, floored at the design rate: the
+     * estimator is extremely noisy under CV = 6 burstiness, and scaling
+     * down in a lull only to be overloaded by the next burst would
+     * thrash.  sustainedRate is the 60 s estimate, floored alike.
+     */
+    double planningRate() const;
+    double sustainedRate() const;
+
+    /** The voluntary-change gate (core::worthReconfiguring) from the
+     *  deployed configuration to @p decision planned at @p alpha. */
+    bool worthReconfiguring(const core::ControllerDecision &decision,
+                            double alpha) const;
+
+    /**
+     * Start the 30 s workload monitor (§3.2): each tick it hands a
+     * proposeConfig decision that passes worthReconfiguring to
+     * onWorkloadChange — at once under overload, else once two ticks in
+     * a row suggest it (hysteresis against bursty estimates).  Ticks
+     * without a deployment or while reconfiguring() are skipped.
+     */
+    void startWorkloadMonitor();
+
+    /** Hook: what to run at rate @p alpha (default: Algorithm 1 over
+     *  every usable instance). */
+    virtual std::optional<core::ControllerDecision>
+    proposeConfig(double alpha);
+
+    /** Hook: the workload monitor chose to move to @p config. */
+    virtual void onWorkloadChange(const par::ParallelConfig &,
+                                  const std::string &)
+    {
+    }
+
+    /** Hook: a reconfiguration is in flight. */
+    virtual bool reconfiguring() const { return false; }
+
     sim::Executor &sim_;
     cluster::InstanceManager &instances_;
     RequestManager &requests_;
@@ -426,6 +487,8 @@ class BaseServingSystem : public ServingSystem
     cost::LatencyModel latency_;
     cost::MemoryModel memory_;
     cost::ThroughputModel throughput_;
+    core::ParallelizationController controller_;
+    core::TransferDataPlane dataPlane_;
 
     /**
      * While work is queued, cut the stride of the one replica that can
@@ -449,6 +512,25 @@ class BaseServingSystem : public ServingSystem
                head.request.prefixId >= 0;
     }
 
+    /** One workload-monitor tick; reschedules itself. */
+    void workloadTick();
+
+    /**
+     * Whether the KV budget's migration reserve assumes the
+     * memory-optimised planner.  Read from the controller's search space,
+     * so it matches the feasibility check that picked the deployment.
+     */
+    bool memOptReserve() const
+    {
+        return controller_.space().options().memOptPlanner;
+    }
+
+    double designArrivalRate_;
+    bool evalScheduled_ = false;
+    /** Workload-monitor hysteresis. */
+    std::optional<par::ParallelConfig> lastSuggestion_;
+    int suggestionStreak_ = 0;
+
     std::optional<Deployment> deployment_;
     /** onRequestArrival is dealing an arrival: its push cuts a stride
      *  only if the work is still queued afterwards. */
@@ -456,7 +538,6 @@ class BaseServingSystem : public ServingSystem
     std::vector<ConfigChange> history_;
     long restartedRequeues_ = 0;
     EngineOptions engine_;
-    bool memOptReserve_ = true;
     std::function<void(const engine::InferencePipeline &)> kvObserver_;
     std::function<void(const engine::ActiveRequest &)> tokenObserver_;
     long peakKvHeldTokens_ = 0;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "baselines/reparallelization_system.h"
-#include "baselines/rerouting_system.h"
 #include "cluster/fault_injector.h"
 #include "core/spotserve_system.h"
 #include "simcore/simulation.h"
@@ -97,6 +95,7 @@ runExperimentOn(sim::Executor &executor, const model::ModelSpec &spec,
     RequestManager requests(executor);
 
     auto system = factory(executor, instances, requests);
+    auto *base = dynamic_cast<BaseServingSystem *>(system.get());
     instances.setListener(system.get());
     instances.loadTrace(trace);
 
@@ -107,14 +106,8 @@ runExperimentOn(sim::Executor &executor, const model::ModelSpec &spec,
     if (options.faultPlan != nullptr) {
         injector = std::make_unique<sim::FaultInjector>(executor, instances,
                                                         *options.faultPlan);
-        if (auto *spot = dynamic_cast<core::SpotServeSystem *>(system.get()))
-            injector->attachDataPlane(&spot->dataPlaneMutable());
-        else if (auto *repar = dynamic_cast<baselines::ReparallelizationSystem *>(
-                     system.get()))
-            injector->attachDataPlane(&repar->dataPlaneMutable());
-        else if (auto *rer =
-                     dynamic_cast<baselines::ReroutingSystem *>(system.get()))
-            injector->attachDataPlane(&rer->dataPlaneMutable());
+        if (base)
+            injector->attachDataPlane(&base->dataPlane());
         injector->arm();
     }
 
@@ -151,8 +144,7 @@ runExperimentOn(sim::Executor &executor, const model::ModelSpec &spec,
     result.spotInstanceHours = instances.spotInstanceHours(trace.duration());
     result.ondemandInstanceHours =
         instances.ondemandInstanceHours(trace.duration());
-    if (const auto *base =
-            dynamic_cast<const BaseServingSystem *>(system.get())) {
+    if (base) {
         result.peakKvReservedTokens = base->peakKvReservedTokens();
         result.peakKvHeldTokens = base->peakKvHeldTokens();
         result.peakKvHeldBlocks = base->peakKvHeldBlocks();
@@ -164,6 +156,8 @@ runExperimentOn(sim::Executor &executor, const model::ModelSpec &spec,
         result.peakConcurrentRequests = base->peakConcurrentRequests();
         result.evictions = base->evictionsTotal();
         result.evictedWorkSeconds = base->evictedWorkSeconds();
+        result.restartedRequeues = base->restartedRequeues();
+        result.liveKvRefsAtEnd = base->liveKvRefs();
     }
     if (const auto *spot =
             dynamic_cast<const core::SpotServeSystem *>(system.get())) {
@@ -179,11 +173,6 @@ runExperimentOn(sim::Executor &executor, const model::ModelSpec &spec,
     if (injector) {
         result.migrationKillsFired = injector->migrationKillsFired();
         result.migrationKillFallbacks = injector->migrationKillFallbacks();
-    }
-    if (const auto *base =
-            dynamic_cast<const BaseServingSystem *>(system.get())) {
-        result.restartedRequeues = base->restartedRequeues();
-        result.liveKvRefsAtEnd = base->liveKvRefs();
     }
     return result;
 }

@@ -2,9 +2,6 @@
 
 #include <stdexcept>
 
-#include "baselines/reparallelization_system.h"
-#include "baselines/rerouting_system.h"
-
 namespace spotserve {
 namespace presets {
 
@@ -21,19 +18,31 @@ spotServeFactory(const model::ModelSpec &spec, const cost::CostParams &params,
     };
 }
 
+namespace {
+
+/** Factory for a baseline, which takes only the design rate. */
+template <class Baseline>
+serving::SystemFactory
+baselineFactory(const model::ModelSpec &spec, const cost::CostParams &params,
+                const cost::SeqSpec &seq, double design_rate)
+{
+    return [spec, params, seq, design_rate](
+               sim::Executor &sim, cluster::InstanceManager &instances,
+               serving::RequestManager &requests)
+               -> std::unique_ptr<serving::ServingSystem> {
+        return std::make_unique<Baseline>(sim, instances, requests, spec,
+                                          params, seq, design_rate);
+    };
+}
+
+} // namespace
+
 serving::SystemFactory
 reroutingFactory(const model::ModelSpec &spec, const cost::CostParams &params,
                  const cost::SeqSpec &seq, double design_rate)
 {
-    baselines::ReroutingOptions options;
-    options.designArrivalRate = design_rate;
-    return [spec, params, seq, options](sim::Executor &sim,
-                                        cluster::InstanceManager &instances,
-                                        serving::RequestManager &requests)
-               -> std::unique_ptr<serving::ServingSystem> {
-        return std::make_unique<baselines::ReroutingSystem>(
-            sim, instances, requests, spec, params, seq, options);
-    };
+    return baselineFactory<baselines::ReroutingSystem>(spec, params, seq,
+                                                       design_rate);
 }
 
 serving::SystemFactory
@@ -41,15 +50,8 @@ reparallelizationFactory(const model::ModelSpec &spec,
                          const cost::CostParams &params,
                          const cost::SeqSpec &seq, double design_rate)
 {
-    baselines::ReparallelizationOptions options;
-    options.designArrivalRate = design_rate;
-    return [spec, params, seq, options](sim::Executor &sim,
-                                        cluster::InstanceManager &instances,
-                                        serving::RequestManager &requests)
-               -> std::unique_ptr<serving::ServingSystem> {
-        return std::make_unique<baselines::ReparallelizationSystem>(
-            sim, instances, requests, spec, params, seq, options);
-    };
+    return baselineFactory<baselines::ReparallelizationSystem>(
+        spec, params, seq, design_rate);
 }
 
 serving::SystemFactory
@@ -57,18 +59,13 @@ factoryByName(const std::string &name, const model::ModelSpec &spec,
               const cost::CostParams &params, const cost::SeqSpec &seq,
               double design_rate)
 {
-    if (name == "SpotServe") {
+    if (name == "SpotServe" || name == "SpotServe-sync") {
         core::SpotServeOptions options;
         options.designArrivalRate = design_rate;
-        return spotServeFactory(spec, params, seq, options);
-    }
-    if (name == "SpotServe-sync") {
-        // Synchronous-reconfiguration ablation: instantaneous global
-        // planning plus whole-deployment drain (the pre-overlap
-        // behaviour).
-        core::SpotServeOptions options;
-        options.designArrivalRate = design_rate;
-        options.overlappedReconfig = false;
+        // SpotServe-sync is the synchronous-reconfiguration ablation:
+        // instantaneous global planning plus whole-deployment drain (the
+        // pre-overlap behaviour).
+        options.overlappedReconfig = name == "SpotServe";
         return spotServeFactory(spec, params, seq, options);
     }
     if (name == "Rerouting")

@@ -8,7 +8,8 @@
  *  - data plane: partial-completion accounting on instance death,
  *    blackout/degrade delays, per-plan deadlines, link release;
  *  - a golden regression proving an armed-but-empty FaultInjector leaves
- *    the pinned fig8-A run byte-identical;
+ *    the pinned fig8-A run byte-identical, and a link fault reaching a
+ *    baseline's cold restart;
  *  - seeded chaos sweeps: hostile traces x random fault schedules x
  *    admission modes x prefix sharing, asserting the crash-consistency
  *    invariants (nothing lost, nothing served twice, no leaked KV refs)
@@ -29,6 +30,7 @@
 #include "core/transfer_data_plane.h"
 #include "serving/presets.h"
 #include "simcore/simulation.h"
+#include "workload/workload.h"
 
 namespace spotserve {
 namespace {
@@ -368,6 +370,57 @@ TEST(FaultInjectionGoldenTest, EmptyPlanLeavesFig8ARunByteIdentical)
         h = fnv1a(h, bits);
     }
     EXPECT_EQ(h, 0xad0427b5a185a7f7ULL);
+}
+
+// Faults reach a baseline's data plane too: Reparallelization loads its
+// weights over the disk links, so a straggling disk during the first
+// load holds the link past its quote and the restart that follows (the
+// second half of the fleet joined while the first was loading) queues
+// behind it.  Without the injector attached to the baseline's data
+// plane the fault cannot fire and both runs activate at the same time.
+TEST(BaselineFaultTest, LinkDegradeSlowsAReparallelizationColdRestart)
+{
+    using cluster::TraceEventKind;
+    const auto spec = model::ModelSpec::opt6_7b();
+    const cost::SeqSpec seq{};
+    const double rate = 2.0;
+    const cluster::AvailabilityTrace trace(
+        "join-twice", 600.0,
+        {{0.0, TraceEventKind::Join, cluster::InstanceType::Spot, 2},
+         {10.0, TraceEventKind::Join, cluster::InstanceType::Spot, 2}});
+    sim::Rng rng(5);
+    const auto workload = wl::stationaryGamma(rate, 1.0, 600.0, seq, rng);
+    const auto factory =
+        presets::reparallelizationFactory(spec, kParams, seq, rate);
+
+    cluster::FaultPlan degrade;
+    cluster::FaultEvent e;
+    e.time = 5.0;
+    e.kind = cluster::FaultEvent::Kind::LinkDegrade;
+    e.instance = 0;
+    e.factor = 0.1;
+    degrade.events.push_back(e);
+    const cluster::FaultPlan none;
+
+    serving::ExperimentOptions options;
+    options.faultPlan = &none;
+    const auto clean = serving::runExperiment(spec, kParams, trace, workload,
+                                              factory, options);
+    options.faultPlan = &degrade;
+    const auto slowed = serving::runExperiment(spec, kParams, trace,
+                                               workload, factory, options);
+
+    // Both runs restart twice: the first load, then the full fleet.
+    ASSERT_EQ(clean.configHistory.size(), 2u);
+    ASSERT_EQ(slowed.configHistory.size(), 2u);
+    EXPECT_EQ(slowed.configHistory[0].time, clean.configHistory[0].time);
+    // The second restart waited for instance 0's degraded disk.
+    EXPECT_GT(slowed.configHistory[1].time,
+              clean.configHistory[1].time + 60.0);
+    for (const auto *r : {&clean, &slowed}) {
+        EXPECT_EQ(r->unfinished, 0);
+        EXPECT_EQ(r->arrived, r->completed + r->rejected);
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -124,7 +124,6 @@ TEST(DynamicAllocationTest, KeepsCandidatePool)
     core::SpotServeOptions options;
     options.dynamicAllocation = true;
     options.designArrivalRate = 0.35;
-    options.candidatePoolSize = 2;
     core::SpotServeSystem system(sim, instances, requests,
                                  model::ModelSpec::gpt20b(), kParams, kSeq,
                                  options);

@@ -765,8 +765,10 @@ TEST(AdmissionBookkeepingTest, RequeuePreservesPrefillChunksOnly)
 struct TestSystem : serving::BaseServingSystem
 {
     TestSystem(sim::Executor &s, cluster::InstanceManager &im,
-               serving::RequestManager &rm, const model::ModelSpec &spec)
-        : BaseServingSystem(s, im, rm, spec, kParams, cost::SeqSpec{})
+               serving::RequestManager &rm, const model::ModelSpec &spec,
+               cost::ConfigSpaceOptions space = {})
+        : BaseServingSystem(s, im, rm, spec, kParams, cost::SeqSpec{}, 0.0,
+                            {}, std::move(space))
     {
     }
     std::string name() const override { return "TestSystem"; }
@@ -783,7 +785,6 @@ struct TestSystem : serving::BaseServingSystem
     using BaseServingSystem::installDeployment;
     using BaseServingSystem::packedMesh;
     using BaseServingSystem::replicaKvBudget;
-    using BaseServingSystem::setMemOptReserve;
 };
 
 TEST(ReplicaBalancingTest, IdleBatchFormationSpreadsAcrossReplicas)
@@ -1410,12 +1411,16 @@ TEST(ReplicaBalancingTest, BudgetTracksTheMigrationReserveMode)
     cluster::InstanceManager instances(sim, kParams);
     serving::RequestManager requests(sim);
     TestSystem system(sim, instances, requests, spec);
+    cost::ConfigSpaceOptions naive_space;
+    naive_space.memOptPlanner = false;
+    serving::RequestManager naive_requests(sim);
+    TestSystem naive_system(sim, instances, naive_requests, spec,
+                            naive_space);
     // P*M = 8: the shard is small enough that even the naive
     // double-buffered reserve leaves positive KV headroom.
     const par::ParallelConfig config{1, 2, 4, 8};
     const long opt = system.replicaKvBudget(config);
-    system.setMemOptReserve(false);
-    const long naive = system.replicaKvBudget(config);
+    const long naive = naive_system.replicaKvBudget(config);
     EXPECT_LT(naive, opt);
     const cost::MemoryModel mem(spec, kParams);
     EXPECT_EQ(opt, mem.kvBudgetTokens(config, true));

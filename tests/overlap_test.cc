@@ -11,11 +11,14 @@
  *    the Draining/Migrating window.
  *  - Planning is a costed, scheduled event (PlanningLatencyModel), not an
  *    instantaneous global stall.
+ *  - An old-mesh instance released mid-migration stops the replicas on
+ *    it, as a preemption does.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <set>
 #include <vector>
@@ -271,6 +274,104 @@ TEST(OverlapTest, PlanningIsCostedAndOffHotPath)
     const auto sync = runChurn(false, growShrinkTrace());
     EXPECT_EQ(sync.planningEvents, 0);
     EXPECT_EQ(sync.planningTime, 0.0);
+}
+
+/** Exposes which live replicas stand on which instance. */
+class MeshProbe : public core::SpotServeSystem
+{
+  public:
+    using core::SpotServeSystem::SpotServeSystem;
+
+    /** Live replicas with a GPU on @p id. */
+    int liveReplicasOn(cluster::InstanceId id) const
+    {
+        int n = 0;
+        if (!hasDeployment())
+            return n;
+        for (int d : pipelinesUsingInstance(id)) {
+            if (deployment().pipelines[d])
+                ++n;
+        }
+        return n;
+    }
+
+    /** A running, un-noticed old-mesh instance a live replica uses. */
+    cluster::InstanceId liveRunningMeshInstance(
+        const cluster::InstanceManager &instances) const
+    {
+        for (cluster::InstanceId id : meshInstances()) {
+            const auto *inst = instances.get(id);
+            if (inst && inst->state() == cluster::InstanceState::Running &&
+                liveReplicasOn(id) > 0)
+                return id;
+        }
+        return cluster::kInvalidInstance;
+    }
+};
+
+TEST(OverlapTest, ReleaseMidMigrationStopsReplicasOnTheInstance)
+{
+    // The scale-in at t=700 keeps some replicas serving on the old mesh
+    // through Draining and Migrating.  Releasing one of their instances
+    // in that window must stop them at once, as a preemption does: they
+    // cannot keep decoding on a terminated instance until activation.
+    const auto trace = growShrinkTrace();
+    const auto spec = model::ModelSpec::gpt20b();
+    sim::Simulation sim;
+    cluster::InstanceManager instances(sim, kParams);
+    serving::RequestManager requests(sim);
+    core::SpotServeOptions options;
+    options.designArrivalRate = 0.60;
+    MeshProbe system(sim, instances, requests, spec, kParams, kSeq, options);
+    instances.setListener(&system);
+    instances.loadTrace(trace);
+    sim::Rng rng(7);
+    const auto workload =
+        wl::stationaryGamma(0.60, 6.0, trace.duration(), kSeq, rng);
+    for (const auto &req : workload) {
+        sim.schedule(req.arrival,
+                     [&system, req] { system.onRequestArrival(req); });
+    }
+
+    // In flight: the reconfiguration drained some replicas and has not
+    // activated yet.
+    long drained_before = 0;
+    int migrations_before = 0;
+    cluster::InstanceId released = cluster::kInvalidInstance;
+    int live_after_release = -1;
+    std::function<void()> poll = [&] {
+        if (system.pipelinesDrained() > drained_before &&
+            system.migrationsCompleted() == migrations_before) {
+            released = system.liveRunningMeshInstance(instances);
+            if (released != cluster::kInvalidInstance) {
+                instances.releaseInstance(released);
+                live_after_release = system.liveReplicasOn(released);
+                return;
+            }
+        }
+        if (sim.now() < 1000.0)
+            sim.scheduleAfter(0.05, poll);
+    };
+    sim.schedule(700.0, [&] {
+        drained_before = system.pipelinesDrained();
+        migrations_before = system.migrationsCompleted();
+        poll();
+    });
+    sim.run(trace.duration() + 900.0);
+
+    ASSERT_NE(released, cluster::kInvalidInstance)
+        << "no kept replica served through the t=700 reconfiguration";
+    EXPECT_EQ(live_after_release, 0)
+        << "replicas kept decoding on released instance " << released;
+    // Their work was requeued, not lost or served twice.
+    EXPECT_EQ(requests.unfinishedCount(), 0);
+    EXPECT_EQ(requests.arrivedCount(),
+              requests.completedCount() + requests.rejectedCount());
+    std::set<wl::RequestId> seen;
+    for (const auto &c : requests.completions())
+        EXPECT_TRUE(seen.insert(c.id).second) << "request " << c.id;
+    ASSERT_TRUE(system.currentConfig().has_value());
+    EXPECT_EQ(system.liveReplicasOn(released), 0);
 }
 
 } // namespace

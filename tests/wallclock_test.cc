@@ -4,8 +4,8 @@
  *
  * Three layers:
  *  - a golden regression pinning the exact latency series of a fig8-style
- *    simulated run, proving the Executor seam left the deterministic mode
- *    byte-identical;
+ *    simulated run of each system, proving the Executor seam left the
+ *    deterministic mode byte-identical;
  *  - unit tests for WallClockExecutor (ordering, cancellation, horizon,
  *    cross-thread injection, idle parking, time scaling);
  *  - a sim-vs-wallclock equivalence run: the same workload through
@@ -50,43 +50,71 @@ fnv1a(std::uint64_t h, std::uint64_t v)
 }
 
 // Pinned against the pre-refactor seed (commit 9bd1ce2 lineage): a full
-// OPT-6.7B x fig8-A x SpotServe stable run.  The hash folds every
-// completion's (id, latency double-bits) in completion order, so any
-// change to event ordering, admission, or the engine shows up here.
+// OPT-6.7B x fig8-A stable run of each system — SpotServe, and the two
+// baselines that share its engine and reconfiguration loop.  The hash
+// folds every completion's (id, latency double-bits) in completion
+// order, so any change to event ordering, admission, or the engine shows
+// up here.
 TEST(GoldenRegressionTest, Fig8ASimulatedRunIsByteIdentical)
 {
+    struct Golden
+    {
+        const char *system;
+        std::size_t configs;
+        std::uint64_t hash;
+        double mean;
+        double p50;
+        double p99;
+        double max;
+        double firstLatency;
+    };
+    const Golden goldens[] = {
+        {"SpotServe", 6, 0xad0427b5a185a7f7ULL, 10.536114459068898,
+         7.8199505191198568, 26.902070907237714, 31.408894704852401,
+         65.094772131456239},
+        {"Rerouting", 1, 0x4e99630197b68bf1ULL, 9.8153041473222533,
+         7.8181655796103655, 24.840164931915307, 25.846609546815898,
+         64.594772131456239},
+        {"Reparallelization", 4, 0x20ed271444b4c467ULL, 27.865592630158609,
+         16.023271738571566, 72.221930071826336, 77.104140153250228,
+         64.594772131456239},
+    };
     const auto spec = model::ModelSpec::opt6_7b();
-    const auto result =
-        presets::runStable(spec, cluster::traceFig8A(), "SpotServe");
+    for (const Golden &g : goldens) {
+        SCOPED_TRACE(g.system);
+        const auto result =
+            presets::runStable(spec, cluster::traceFig8A(), g.system);
 
-    EXPECT_EQ(result.arrived, 1709);
-    EXPECT_EQ(result.completed, 1709);
-    EXPECT_EQ(result.unfinished, 0);
-    EXPECT_EQ(result.rejected, 0);
-    EXPECT_EQ(result.tokensGenerated, 218752.0);
-    EXPECT_EQ(result.configHistory.size(), 6u);
+        EXPECT_EQ(result.arrived, 1709);
+        EXPECT_EQ(result.completed, 1709);
+        EXPECT_EQ(result.unfinished, 0);
+        EXPECT_EQ(result.rejected, 0);
+        EXPECT_EQ(result.tokensGenerated, 218752.0);
+        EXPECT_EQ(result.configHistory.size(), g.configs);
 
-    std::uint64_t h = 14695981039346656037ULL;
-    for (const auto &rec : result.perRequest) {
-        h = fnv1a(h, static_cast<std::uint64_t>(rec.id));
-        std::uint64_t bits;
-        static_assert(sizeof(bits) == sizeof(rec.latency));
-        std::memcpy(&bits, &rec.latency, sizeof(bits));
-        h = fnv1a(h, bits);
+        std::uint64_t h = 14695981039346656037ULL;
+        for (const auto &rec : result.perRequest) {
+            h = fnv1a(h, static_cast<std::uint64_t>(rec.id));
+            std::uint64_t bits;
+            static_assert(sizeof(bits) == sizeof(rec.latency));
+            std::memcpy(&bits, &rec.latency, sizeof(bits));
+            h = fnv1a(h, bits);
+        }
+        EXPECT_EQ(h, g.hash);
+
+        // Redundant with the hash, but these localize a breakage
+        // instantly.
+        EXPECT_EQ(result.latencies.count(), 1504u);
+        EXPECT_EQ(result.latencies.mean(), g.mean);
+        EXPECT_EQ(result.latencies.percentile(50), g.p50);
+        EXPECT_EQ(result.latencies.percentile(99), g.p99);
+        EXPECT_EQ(result.latencies.max(), g.max);
+        ASSERT_FALSE(result.perRequest.empty());
+        EXPECT_EQ(result.perRequest.front().id, 0);
+        EXPECT_EQ(result.perRequest.front().latency, g.firstLatency);
+        EXPECT_EQ(result.perRequest.back().id, 1708);
+        EXPECT_EQ(result.perRequest.back().latency, 7.1847216489154562);
     }
-    EXPECT_EQ(h, 0xad0427b5a185a7f7ULL);
-
-    // Redundant with the hash, but these localize a breakage instantly.
-    EXPECT_EQ(result.latencies.count(), 1504u);
-    EXPECT_EQ(result.latencies.mean(), 10.536114459068898);
-    EXPECT_EQ(result.latencies.percentile(50), 7.8199505191198568);
-    EXPECT_EQ(result.latencies.percentile(99), 26.902070907237714);
-    EXPECT_EQ(result.latencies.max(), 31.408894704852401);
-    ASSERT_FALSE(result.perRequest.empty());
-    EXPECT_EQ(result.perRequest.front().id, 0);
-    EXPECT_EQ(result.perRequest.front().latency, 65.094772131456239);
-    EXPECT_EQ(result.perRequest.back().id, 1708);
-    EXPECT_EQ(result.perRequest.back().latency, 7.1847216489154562);
 }
 
 // ---------------------------------------------------------------------
