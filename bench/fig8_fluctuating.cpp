@@ -6,7 +6,7 @@
  * traces A'_S+O and B'_S+O, (e/f) end-to-end latency statistics per
  * system plus the ablation rows (Reserve-vs-Optimistic KV admission on an
  * early-stopping variant of the workload, synchronous reconfiguration,
- * serialized wire, prefix sharing, recovery vs cold restart), and (g/h)
+ * prefix sharing, recovery vs cold restart), and (g/h)
  * the per-request latency timeline (30 s buckets)
  * with each system's (D,P,M) reconfiguration points annotated.
  *
@@ -311,53 +311,6 @@ main(int argc, char **argv)
                         p99_over, p99_sync,
                         p99_over > 0.0 ? p99_sync / p99_over : 0.0);
             keep(trace.name(), "SpotServe-syncReconfig", r_sync);
-        }
-        // Transfer-scheduling ablation: the same stack timing every
-        // migration with the legacy serialized wire cursor instead of
-        // the link-level data-plane schedule (ISSUE 7).  Compared inside
-        // churn windows anchored on the default run's reconfigurations —
-        // the only spans where transfer timing matters.
-        {
-            core::SpotServeOptions serial_opt;
-            serial_opt.designArrivalRate = 0.55;
-            serial_opt.linkDataPlane = false;
-            const auto r_serial = serving::runExperiment(
-                spec, params, trace, workload,
-                presets::spotServeFactory(spec, params, seq, serial_opt));
-            std::vector<double> windows;
-            for (std::size_t i = 1; i < results[0].configHistory.size(); ++i)
-                windows.push_back(results[0].configHistory[i].time);
-            auto in_window = [&windows](double t) {
-                for (double w : windows) {
-                    if (t >= w - 5.0 && t < w + 90.0)
-                        return true;
-                }
-                return false;
-            };
-            auto window_goodput = [&](const serving::ExperimentResult &r) {
-                long goodput = 0;
-                for (const auto &c : r.perRequest) {
-                    if (in_window(c.arrival + c.latency))
-                        ++goodput;
-                }
-                return goodput;
-            };
-            const long g_link = window_goodput(results[0]);
-            const long g_serial = window_goodput(r_serial);
-            std::printf("  %-18s avg %7.2f  P99 %7.2f  (serialized-wire "
-                        "ablation)\n",
-                        "SpotServe-serialWire", r_serial.latencies.mean(),
-                        r_serial.latencies.percentile(99));
-            std::printf("  migrations: link-level %d plans, makespan total "
-                        "%.2fs (%ld contended) vs serialized %d plans, "
-                        "%.2fs; churn-window goodput %ld vs %ld (%+ld)\n",
-                        results[0].migrationsCompleted,
-                        results[0].migrationMakespanTotal,
-                        results[0].contendedMigrations,
-                        r_serial.migrationsCompleted,
-                        r_serial.migrationMakespanTotal, g_link, g_serial,
-                        g_link - g_serial);
-            keep(trace.name(), "SpotServe-serialWire", r_serial);
         }
         // Prefix-sharing ablation: the same arrivals with a few-shot
         // template mix prepended (4 classes x 768 tokens), run with the

@@ -49,10 +49,8 @@ class FaultInjector
     /** Schedule every event of the plan; call once before running. */
     void arm();
 
-    /** Faults fired, by family. @{ */
-    long hardKillsFired() const { return hardKillsFired_; }
+    /** Mid-migration kills that hit an in-flight transfer. @{ */
     long migrationKillsFired() const { return migrationKillsFired_; }
-    long linkFaultsFired() const { return linkFaultsFired_; }
     /** Kill* events that never found an in-flight transfer in time. */
     long migrationKillFallbacks() const { return migrationKillFallbacks_; }
     /** @} */
@@ -71,9 +69,7 @@ class FaultInjector
     core::TransferDataPlane *dataPlane_ = nullptr;
     Rng rng_;
     bool armed_ = false;
-    long hardKillsFired_ = 0;
     long migrationKillsFired_ = 0;
-    long linkFaultsFired_ = 0;
     long migrationKillFallbacks_ = 0;
 };
 

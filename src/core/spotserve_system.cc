@@ -31,6 +31,16 @@ constexpr double kMigrationRetryBackoff = 1.0;
  */
 constexpr double kMigrationDeadlineFactor = 3.0;
 
+/**
+ * A live pipeline can only be kept in place when the replica shape is
+ * unchanged (its object serves the exact same (P, M, B) geometry).
+ */
+bool
+sameShape(const par::ParallelConfig &a, const par::ParallelConfig &b)
+{
+    return a.pp == b.pp && a.tp == b.tp && a.batch == b.batch;
+}
+
 } // namespace
 
 SpotServeSystem::SpotServeSystem(sim::Executor &executor,
@@ -118,44 +128,38 @@ SpotServeSystem::loseInstance(const cluster::Instance &instance,
         dataPlane_.failInstance(instance.id());
 
     // Normal path: the grace-period migration already moved everything
-    // off the victim.  The checks below handle the fault-tolerance cases
-    // (§4.2): the victim was still serving (including through an
-    // overlapped planning pass), or it was a planned member of the
-    // in-flight migration target.
+    // off the victim.  The rest handles the fault-tolerance cases (§4.2):
+    // the victim was still serving (including through an overlapped
+    // planning pass), or it was a planned member of the in-flight
+    // migration target.  A release off the old mesh mid-migration leaves
+    // the migration as planned: activate() revalidates the target side.
     const bool on_mesh = hasDeployment() && meshUsesInstance(instance.id());
-    if (phase_ == Phase::Serving || phase_ == Phase::Planning) {
-        if (!on_mesh)
-            return;
-        for (int d : pipelinesUsingInstance(instance.id())) {
-            // The victim's pipelines lose their cache context.
+    const bool serving =
+        phase_ == Phase::Serving || phase_ == Phase::Planning;
+    const bool migrating =
+        (phase_ == Phase::Draining || phase_ == Phase::Migrating) &&
+        pending_;
+    if (!(serving && on_mesh) && !(migrating && (preempted || on_mesh)))
+        return;
+    // The victim's replicas lose their cache context — including, in
+    // overlapped mode, the unaffected replicas still serving on the old
+    // mesh through the transition.  A victim that was still draining
+    // fires onPipelineHalted from inside removePipeline, so the
+    // all-drained transition is deferred past the loop exactly like the
+    // arrangement loop defers it.
+    if (on_mesh && (serving || options_.overlappedReconfig)) {
+        arrangingHalts_ = true;
+        for (int d : pipelinesUsingInstance(instance.id()))
             restartAndRequeue(removePipeline(d));
-        }
+        arrangingHalts_ = false;
+    }
+    if (serving) {
         scheduleEval();
         return;
     }
-    // A release off the old mesh leaves the migration as planned:
-    // activate() revalidates the target side.
-    if ((phase_ == Phase::Draining || phase_ == Phase::Migrating) &&
-        pending_ && (preempted || on_mesh)) {
-        // Overlapped mode keeps unaffected replicas serving on the OLD
-        // mesh through the transition; any of them standing on the victim
-        // must stop now — their cache context is gone with the instance.
-        // activate() revalidates the *target* side (§4.2).  A victim that
-        // was still draining fires onPipelineHalted from inside
-        // removePipeline, so the all-drained transition is deferred past
-        // the loop exactly like the arrangement loop defers it.
-        if (options_.overlappedReconfig && on_mesh) {
-            arrangingHalts_ = true;
-            for (int d : pipelinesUsingInstance(instance.id()))
-                restartAndRequeue(removePipeline(d));
-            arrangingHalts_ = false;
-            if (phase_ == Phase::Draining && pending_ &&
-                pending_->waitingHalts <= 0) {
-                startMigration();
-            }
-        }
-        pendingReconfig_ = true;
-    }
+    if (phase_ == Phase::Draining && pending_->waitingHalts <= 0)
+        startMigration();
+    pendingReconfig_ = true;
 }
 
 std::optional<ControllerDecision>
@@ -241,41 +245,41 @@ SpotServeSystem::evaluate()
     }
 
     const double alpha = planningRate();
-    const auto decision = proposeConfig(alpha);
+    if (const auto target = reconfigTarget(proposeConfig(alpha), alpha)) {
+        requestReconfig(*target, hasDeployment() ? "availability change"
+                                                 : "initial deployment");
+    }
+}
+
+std::optional<par::ParallelConfig>
+SpotServeSystem::reconfigTarget(
+    const std::optional<ControllerDecision> &decision, double alpha)
+{
     if (!decision) {
         if (hasDeployment() || phase_ != Phase::Idle)
             suspendServing();
-        return;
+        return std::nullopt;
     }
-    if (!shouldReconfigure(*decision, alpha))
-        return;
-    requestReconfig(decision->config, hasDeployment()
-                                          ? "availability change"
-                                          : "initial deployment");
-}
-
-bool
-SpotServeSystem::shouldReconfigure(const ControllerDecision &decision,
-                                   double alpha) const
-{
     // Forced remap: no deployment yet, a mesh member is dying or gone, or
     // a replica is broken ("this step is still necessary ... since
     // memberships update", §3.2).
     if (!hasDeployment())
-        return true;
+        return decision->config;
     for (cluster::InstanceId id : meshInstances()) {
         const auto *inst = instances_.get(id);
         if (!inst || inst->state() != cluster::InstanceState::Running)
-            return true;
+            return decision->config;
     }
     for (const auto &p : deployment().pipelines) {
         if (!p)
-            return true;
+            return decision->config;
     }
     // Voluntary change (e.g. new capacity joined): only worth a
     // reconfiguration when the deployment is struggling or the win is
     // substantial; otherwise the newcomers wait in the candidate pool.
-    return worthReconfiguring(decision, alpha);
+    if (!worthReconfiguring(*decision, alpha))
+        return std::nullopt;
+    return decision->config;
 }
 
 double
@@ -322,35 +326,29 @@ SpotServeSystem::requestReconfig(const par::ParallelConfig &target,
     // every pipeline keeps admitting and decoding.  The commit re-reads
     // the fleet, so changes that land during the pass are honoured.
     phase_ = Phase::Planning;
-    planReason_ = reason;
     const double duration = planningDuration(
         target, static_cast<int>(instances_.survivingInstances().size()));
     ++planningEvents_;
     totalPlanningTime_ += duration;
-    sim_.scheduleAfter(duration, [this] { finishPlanning(); });
+    sim_.scheduleAfter(duration, [this, reason] { finishPlanning(reason); });
 }
 
 void
-SpotServeSystem::finishPlanning()
+SpotServeSystem::finishPlanning(const std::string &reason)
 {
     if (phase_ != Phase::Planning)
         return;
     phase_ = Phase::Serving;
-    const std::string reason = std::move(planReason_);
-    planReason_.clear();
-
     // Re-validate the decision against the fleet as it stands now: joins,
-    // notices or preemptions may have landed while the pass ran.
+    // notices or preemptions may have landed while the pass ran (and the
+    // trigger may have evaporated).
     const double alpha = planningRate();
-    const auto decision = decide(
-        static_cast<int>(instances_.survivingInstances().size()), alpha);
-    if (!decision) {
-        suspendServing();
-        return;
-    }
-    if (!shouldReconfigure(*decision, alpha))
-        return; // the trigger evaporated while we planned
-    beginReconfig(decision->config, reason);
+    const auto target = reconfigTarget(
+        decide(static_cast<int>(instances_.survivingInstances().size()),
+               alpha),
+        alpha);
+    if (target)
+        beginReconfig(*target, reason);
 }
 
 void
@@ -397,8 +395,14 @@ SpotServeSystem::plannerOptions(bool migrate_cache) const
     popts.progressive = options_.enableMigrationPlanner;
     popts.memoryOpt = options_.enableMigrationPlanner;
     popts.migrateCache = migrate_cache;
-    popts.linkSchedule = options_.linkDataPlane;
     return popts;
+}
+
+bool
+SpotServeSystem::PendingMigration::keeps(int od) const
+{
+    return std::find(keptOldPipeline.begin(), keptOldPipeline.end(), od) !=
+           keptOldPipeline.end();
 }
 
 void
@@ -406,196 +410,176 @@ SpotServeSystem::beginReconfig(const par::ParallelConfig &target,
                                const std::string &reason)
 {
     const auto survivors = instances_.survivingInstances();
-
     const auto snapshot = snapshotContext();
+
     auto old_tokens = replicaCacheTokens();
-
-    // A live pipeline can only be kept in place when the replica shape is
-    // unchanged (its object serves the exact same (P, M, B) geometry).
-    const bool same_shape = hasDeployment() &&
-                            deployment().config.pp == target.pp &&
-                            deployment().config.tp == target.tp &&
-                            deployment().config.batch == target.batch;
-
-    // Pin every live replica whose members all survive under an unchanged
-    // (P, M, B) shape: model-context weights tie across same-shape
-    // replicas, so without pins the Hungarian solve may mix stages from
-    // different old replicas into one new replica — zero reuse gain, but
-    // every live pipeline broken.  Pinned replicas are the partial-drain
-    // keep set.
-    std::vector<ReplicaPin> pins;
-    if (options_.overlappedReconfig && hasDeployment()) {
-        const auto &dep = deployment();
-        const int per_replica = target.pp * target.tp;
-        if (same_shape && per_replica % params_.gpusPerInstance == 0) {
-            std::unordered_set<cluster::InstanceId> surv;
-            for (const auto *inst : survivors)
-                surv.insert(inst->id());
-            std::vector<int> keepable;
-            for (std::size_t od = 0; od < dep.pipelines.size(); ++od) {
-                if (!dep.pipelines[od])
-                    continue;
-                bool alive = true;
-                for (par::GpuId g :
-                     dep.mesh.pipelineGpus(static_cast<int>(od))) {
-                    if (surv.find(cluster::Instance::instanceOfGpu(
-                            g, params_.gpusPerInstance)) == surv.end())
-                        alive = false;
-                }
-                if (alive)
-                    keepable.push_back(static_cast<int>(od));
-            }
-            if (static_cast<int>(keepable.size()) > target.dp) {
-                // More survivors than target slots: keep the most
-                // progressed batches serving (§3.3).
-                std::stable_sort(
-                    keepable.begin(), keepable.end(), [&](int a, int b) {
-                        return old_tokens[a] > old_tokens[b];
-                    });
-                keepable.resize(target.dp);
-            }
-            std::sort(keepable.begin(), keepable.end());
-            int next_new = 0;
-            for (int od : keepable) {
-                ReplicaPin pin;
-                pin.newReplica = next_new++;
-                pin.oldReplica = od;
-                pin.gpus = dep.mesh.pipelineGpus(od);
-                pins.push_back(std::move(pin));
-            }
-        }
-    }
-    auto mapping =
-        mapper_.map(snapshot, target, survivors, old_tokens, pins);
-
+    const auto pins = keepInPlacePins(target, survivors, old_tokens);
+    auto mapping = mapper_.map(snapshot, target, survivors, old_tokens, pins);
+    pending_ = PendingMigration{.target = target,
+                                .mapping = std::move(mapping),
+                                .oldTokens = std::move(old_tokens),
+                                .reason = reason,
+                                .hadDeployment = hasDeployment()};
+    auto &pm = *pending_;
     // Earliest active preemption deadline bounds the whole reconfig.
-    sim::SimTime deadline = sim::kTimeInfinity;
     for (const auto &[id, at] : notices_)
-        deadline = std::min(deadline, at);
+        pm.deadline = std::min(pm.deadline, at);
+    pm.keptOldPipeline = keptReplicas(pm, pins);
 
-    // ------------------------------------------------------------------
-    // Partial drain (overlapped mode): a new replica whose GPUs the
-    // mapping keeps exactly in place, under an unchanged (P, M, B)
-    // shape, never needs to stop — its model context, cache context and
-    // live batch are already where the target wants them.
-    // ------------------------------------------------------------------
-    const int old_dp =
-        hasDeployment() ? static_cast<int>(deployment().pipelines.size())
-                        : 0;
-    std::vector<int> kept(target.dp, -1);
-    std::vector<bool> touched(old_dp, true);
-    if (options_.overlappedReconfig && hasDeployment()) {
-        const auto &dep = deployment();
-        if (!pins.empty()) {
-            // The mapper bound the pins verbatim and set their
-            // inheritance; the kept set IS the pin set.
-            for (const auto &pin : pins) {
-                kept[pin.newReplica] = pin.oldReplica;
-                touched[pin.oldReplica] = false;
-            }
-        } else if (same_shape) {
-            // No pins were eligible (e.g. sub-instance replicas), but the
-            // identity fast path or the free solve may still have kept
-            // placements in place — detect them and pin their
-            // inheritance to themselves so their batch stays put.
-            std::vector<bool> claimed(old_dp, false);
-            for (int d = 0; d < target.dp; ++d) {
-                const auto gpus = mapping.mesh.pipelineGpus(d);
-                for (int od = 0; od < old_dp; ++od) {
-                    if (claimed[od] || !dep.pipelines[od])
-                        continue;
-                    if (dep.mesh.pipelineGpus(od) == gpus) {
-                        kept[d] = od;
-                        claimed[od] = true;
-                        touched[od] = false;
-                        break;
-                    }
-                }
-            }
-            std::vector<std::pair<int, int>> kept_pairs;
-            for (int d = 0; d < target.dp; ++d) {
-                if (kept[d] >= 0)
-                    kept_pairs.emplace_back(d, kept[d]);
-            }
-            if (!kept_pairs.empty()) {
-                mapping.inheritedOldPipeline = mapper_.planInheritance(
-                    target.dp, old_tokens, kept_pairs);
-            }
-        }
-    }
-
-    // Arranger: decide whether moving the cache beats recomputation and
-    // how long each affected pipeline may keep decoding (JIT, §4.1).
-    // Only drained batches migrate, so only they count here.
-    const bool had_deployment = hasDeployment();
-    double committed_work = 0.0;
-    if (had_deployment) {
-        const auto &dep = deployment();
-        for (std::size_t od = 0; od < dep.pipelines.size(); ++od) {
-            const auto &p = dep.pipelines[od];
-            if (!p || p->batch().empty() || !touched[od])
-                continue;
-            par::ParallelConfig c = dep.config;
-            c.batch = static_cast<int>(p->batch().size());
-            // Continuous batching: progress differs per request, so the
-            // batch is worth its most-progressed member's recompute time.
-            for (const auto &r : p->batch()) {
-                committed_work = std::max(
-                    committed_work,
-                    arranger_.recomputeTime(c, r.request.inputLen,
-                                            r.committedTokens));
-            }
-        }
-    }
-
-    const PlannerOptions popts = plannerOptions(options_.enableArranger);
-    // Migrate the cache only when moving it beats recomputing the drained
-    // work; on a flip the planner assembles the no-cache plan from the
-    // same analysis pass.
-    bool migrate_cache = false;
-    auto plan = planner_.plan(
-        snapshot, mapping, target, old_tokens, popts,
+    // Arranger: migrate the cache only when moving it beats recomputing
+    // the drained work; on a flip the planner assembles the no-cache plan
+    // from the same analysis pass.
+    const double drained_work = drainedWork(pm);
+    pm.plan = planner_.plan(
+        snapshot, pm.mapping, target, pm.oldTokens,
+        plannerOptions(options_.enableArranger),
         [&](const MigrationPlan &with_cache) {
-            migrate_cache = options_.enableArranger &&
-                            with_cache.totalDuration < committed_work;
-            return migrate_cache;
+            pm.migrateCache = options_.enableArranger &&
+                              with_cache.totalDuration < drained_work;
+            return pm.migrateCache;
         });
 
-    PendingMigration pm{target,
-                        std::move(mapping),
-                        std::move(plan),
-                        std::move(old_tokens),
-                        reason,
-                        0,
-                        deadline,
-                        migrate_cache,
-                        had_deployment,
-                        std::move(kept),
-                        std::move(touched),
-                        {},
-                        {},
-                        -1,
-                        false,
-                        {}};
-
     phase_ = Phase::Draining;
-    pending_ = std::move(pm);
-
     if (!hasDeployment()) {
         startMigration();
         return;
     }
+    arrangeHalts(drained_work);
+}
 
+std::vector<ReplicaPin>
+SpotServeSystem::keepInPlacePins(
+    const par::ParallelConfig &target,
+    const std::vector<const cluster::Instance *> &survivors,
+    const std::vector<double> &old_tokens) const
+{
+    // Pin every live replica whose members all survive under an unchanged
+    // (P, M, B) shape (only then can its pipeline object serve the new
+    // geometry): model-context weights tie across same-shape replicas, so
+    // without pins the Hungarian solve may mix stages from different old
+    // replicas into one new replica — zero reuse gain, but every live
+    // pipeline broken.  Pinned replicas are the partial-drain keep set.
+    std::vector<ReplicaPin> pins;
+    if (!options_.overlappedReconfig || !hasDeployment())
+        return pins;
+    const auto &dep = deployment();
+    if (!sameShape(dep.config, target) ||
+        (target.pp * target.tp) % params_.gpusPerInstance != 0)
+        return pins;
+    std::unordered_set<cluster::InstanceId> surv;
+    for (const auto *inst : survivors)
+        surv.insert(inst->id());
+    std::vector<int> keepable;
+    for (std::size_t od = 0; od < dep.pipelines.size(); ++od) {
+        if (!dep.pipelines[od])
+            continue;
+        bool alive = true;
+        for (par::GpuId g : dep.mesh.pipelineGpus(static_cast<int>(od))) {
+            if (surv.find(cluster::Instance::instanceOfGpu(
+                    g, params_.gpusPerInstance)) == surv.end())
+                alive = false;
+        }
+        if (alive)
+            keepable.push_back(static_cast<int>(od));
+    }
+    if (static_cast<int>(keepable.size()) > target.dp) {
+        // More survivors than target slots: keep the most progressed
+        // batches serving (§3.3).
+        std::stable_sort(keepable.begin(), keepable.end(),
+                         [&](int a, int b) {
+                             return old_tokens[a] > old_tokens[b];
+                         });
+        keepable.resize(target.dp);
+    }
+    std::sort(keepable.begin(), keepable.end());
+    for (int od : keepable) {
+        ReplicaPin pin;
+        pin.newReplica = static_cast<int>(pins.size());
+        pin.oldReplica = od;
+        pin.gpus = dep.mesh.pipelineGpus(od);
+        pins.push_back(std::move(pin));
+    }
+    return pins;
+}
+
+std::vector<int>
+SpotServeSystem::keptReplicas(PendingMigration &pm,
+                              const std::vector<ReplicaPin> &pins)
+{
+    // Partial drain (overlapped mode): a new replica whose GPUs the
+    // mapping keeps exactly in place, under an unchanged (P, M, B) shape,
+    // never needs to stop — its model context, cache context and live
+    // batch are already where the target wants them.
+    std::vector<int> kept(pm.target.dp, -1);
+    if (!options_.overlappedReconfig || !hasDeployment())
+        return kept;
+    // The mapper bound the pins verbatim and set their inheritance; the
+    // kept set IS the pin set.
+    for (const auto &pin : pins)
+        kept[pin.newReplica] = pin.oldReplica;
+    const auto &dep = deployment();
+    if (!pins.empty() || !sameShape(dep.config, pm.target))
+        return kept;
+    // No pins were eligible (e.g. sub-instance replicas), but the identity
+    // fast path or the free solve may still have kept placements in place
+    // — detect them and pin their inheritance to themselves so their batch
+    // stays put.
+    const int old_dp = static_cast<int>(dep.pipelines.size());
+    std::vector<bool> claimed(old_dp, false);
+    std::vector<std::pair<int, int>> kept_pairs;
+    for (int d = 0; d < pm.target.dp; ++d) {
+        const auto gpus = pm.mapping.mesh.pipelineGpus(d);
+        for (int od = 0; od < old_dp; ++od) {
+            if (claimed[od] || !dep.pipelines[od] ||
+                dep.mesh.pipelineGpus(od) != gpus)
+                continue;
+            kept[d] = od;
+            claimed[od] = true;
+            kept_pairs.emplace_back(d, od);
+            break;
+        }
+    }
+    if (!kept_pairs.empty()) {
+        pm.mapping.inheritedOldPipeline =
+            mapper_.planInheritance(pm.target.dp, pm.oldTokens, kept_pairs);
+    }
+    return kept;
+}
+
+double
+SpotServeSystem::drainedWork(const PendingMigration &pm) const
+{
+    // Only drained batches migrate, so only they count.  Continuous
+    // batching: progress differs per request, so a batch is worth its
+    // most-progressed member's recompute time.
+    double work = 0.0;
+    if (!hasDeployment())
+        return work;
+    const auto &dep = deployment();
+    for (std::size_t od = 0; od < dep.pipelines.size(); ++od) {
+        const auto &p = dep.pipelines[od];
+        if (!p || p->batch().empty() || pm.keeps(static_cast<int>(od)))
+            continue;
+        par::ParallelConfig c = dep.config;
+        c.batch = static_cast<int>(p->batch().size());
+        for (const auto &r : p->batch()) {
+            work = std::max(work, arranger_.recomputeTime(
+                                      c, r.request.inputLen,
+                                      r.committedTokens));
+        }
+    }
+    return work;
+}
+
+void
+SpotServeSystem::arrangeHalts(double drained_work)
+{
     auto &dep = deployment();
     int waiting = 0;
     int kept_live = 0;
     for (std::size_t od = 0; od < dep.pipelines.size(); ++od) {
-        if (!dep.pipelines[od])
-            continue;
-        if (pending_->touchedOld[od])
-            ++waiting;
-        else
-            ++kept_live;
+        if (dep.pipelines[od])
+            ++(pending_->keeps(static_cast<int>(od)) ? kept_live : waiting);
     }
     pending_->waitingHalts = waiting;
     pipelinesDrained_ += waiting;
@@ -616,28 +600,25 @@ SpotServeSystem::beginReconfig(const par::ParallelConfig &target,
     // synchronous halts would otherwise tear the deployment down while we
     // are still iterating its pipelines.
     arrangingHalts_ = true;
-
     for (std::size_t od = 0; od < dep.pipelines.size(); ++od) {
         auto &p = dep.pipelines[od];
-        if (!p || !pending_->touchedOld[od])
+        if (!p || pending_->keeps(static_cast<int>(od)))
             continue; // kept replicas serve straight through
         if (!options_.enableArranger) {
             // Ablated: suspend immediately; in-flight work is lost.
             haltPipelineNow(*p);
             continue;
         }
-        if (!p->executing()) {
-            haltPipeline(*p, 0);
-            continue;
-        }
         int iters = 0;
-        if (pending_ && remaining_grace > 0.0) {
+        if (p->executing() && remaining_grace > 0.0) {
+            // JIT (§4.1): keep decoding as long as the grace period
+            // allows.  Mixed-progress batch: time iterations at the
+            // longest context (slowest, conservative), but budget them by
+            // the largest remaining output — early finishers leave the
+            // batch individually, so the drain may keep decoding for the
+            // rest.
             par::ParallelConfig c = dep.config;
             c.batch = static_cast<int>(p->batch().size());
-            // Mixed-progress batch: time iterations at the longest
-            // context (slowest, conservative), but budget them by the
-            // largest remaining output — early finishers leave the batch
-            // individually, so the drain may keep decoding for the rest.
             int max_ctx = 0;
             int max_remaining = 0;
             for (const auto &r : p->batch()) {
@@ -646,10 +627,11 @@ SpotServeSystem::beginReconfig(const par::ParallelConfig &target,
                 max_remaining = std::max(
                     max_remaining, r.request.outputLen - r.committedTokens);
             }
-            const Arrangement a = arranger_.arrangeForPreemption(
-                c, max_ctx, max_remaining, committed_work, remaining_grace,
-                pending_->plan.totalDuration);
-            iters = a.iterations;
+            iters = arranger_
+                        .arrangeForPreemption(c, max_ctx, max_remaining,
+                                              drained_work, remaining_grace,
+                                              pending_->plan.totalDuration)
+                        .iterations;
         }
         haltPipeline(*p, iters);
     }
@@ -663,20 +645,11 @@ SpotServeSystem::onPipelineHalted(engine::InferencePipeline &pipeline)
 {
     if (phase_ != Phase::Draining || !pending_)
         return;
-    if (hasDeployment()) {
-        // Partial drain: only affected replicas count toward the
-        // all-drained barrier.  (An unaffected replica can only halt here
-        // through the §4.2 victim cleanup, which requeues its work.)
-        const auto &dep = deployment();
-        for (std::size_t od = 0; od < dep.pipelines.size(); ++od) {
-            if (dep.pipelines[od].get() != &pipeline)
-                continue;
-            if (od < pending_->touchedOld.size() &&
-                !pending_->touchedOld[od])
-                return;
-            break;
-        }
-    }
+    // Partial drain: only affected replicas count toward the all-drained
+    // barrier.  (An unaffected replica can only halt here through the
+    // §4.2 victim cleanup, which requeues its work.)
+    if (hasDeployment() && pending_->keeps(pipeline.index()))
+        return;
     if (--pending_->waitingHalts <= 0 && !arrangingHalts_)
         startMigration();
 }
@@ -691,61 +664,101 @@ SpotServeSystem::startMigration()
     const long fault_epoch = ++migrationEpoch_;
     pm.failedReplica.assign(pm.target.dp, false);
 
-    bool any_kept = false;
-    for (int od : pm.keptOldPipeline) {
-        if (od >= 0)
-            any_kept = true;
-    }
-
     // Collect the halted batches of the affected replicas.  Kept replicas
     // stay live inside the old deployment and keep serving (the request
     // manager rebalances the queue onto them via dispatchAll) until
     // activation adopts their pipeline objects.
     std::vector<std::vector<engine::ActiveRequest>> batches;
     if (hasDeployment()) {
-        auto &dep = deployment();
-        batches.resize(dep.pipelines.size());
-        for (std::size_t od = 0; od < dep.pipelines.size(); ++od) {
-            if (od < pm.touchedOld.size() && !pm.touchedOld[od])
-                continue;
-            batches[od] = removePipeline(static_cast<int>(od));
+        batches.resize(deployment().pipelines.size());
+        for (std::size_t od = 0; od < batches.size(); ++od) {
+            if (!pm.keeps(static_cast<int>(od)))
+                batches[od] = removePipeline(static_cast<int>(od));
         }
-        if (!any_kept)
+        if (std::all_of(pm.keptOldPipeline.begin(), pm.keptOldPipeline.end(),
+                        [](int od) { return od < 0; }))
             clearDeployment();
     }
 
-    PlannerOptions popts = plannerOptions(pm.migrateCache);
+    auto sched = quoteSchedule(pm);
+    pm.resumeAbs.resize(pm.target.dp);
+    double first_resume = sched.duration;
+    double affected_resume = 0.0;
+    bool any_affected = false;
+    for (int d = 0; d < pm.target.dp; ++d) {
+        if (pm.keptOldPipeline[d] >= 0) {
+            // Kept replicas never stop; they are "resumed" already.
+            pm.resumeAbs[d] = sim_.now();
+            continue;
+        }
+        pm.resumeAbs[d] = sim_.now() + sched.resumes[d];
+        first_resume = std::min(first_resume, sched.resumes[d]);
+        affected_resume = std::max(affected_resume, sched.resumes[d]);
+        any_affected = true;
+    }
+    if (!any_affected)
+        first_resume = 0.0; // membership-only relabel: activate now
 
+    inheritBatches(pm, std::move(batches));
+
+    totalBytesMigrated_ += pm.plan.movedModelBytes + pm.plan.movedCacheBytes;
+    totalBytesReused_ += pm.plan.reusedBytes;
+    // Only the affected replicas ever stalled: the serving stall of this
+    // reconfiguration is their critical path, not the full plan span.
+    totalMigrationStall_ += affected_resume;
+    totalMigrationMakespan_ += sched.duration;
+    migrationTailUntil_ = sim_.now() + sched.duration;
+
+    // Commit the schedule: the data plane reserves every link slice it
+    // occupies, so a migration submitted while this one drains is quoted
+    // — and executed — behind (or interleaved around) it.  The failure
+    // callback makes the transfer crash-consistent: an unannounced death
+    // of a source/destination, or a link fault stretching the plan past
+    // its deadline, aborts into the recovery path instead of pretending
+    // the context landed.
+    TransferDataPlane::SubmitOptions so;
+    so.onFail = [this, fault_epoch](
+                    const TransferDataPlane::PlanFailure &failure) {
+        onMigrationFailed(fault_epoch, failure);
+    };
+    // Headroom over the quoted makespan: only a link fault that stretches
+    // the realized schedule can trip the deadline.
+    so.deadline =
+        kMigrationDeadlineFactor * std::max(pm.plan.totalDuration, 1.0);
+    pm.planId = dataPlane_.submit(std::move(sched.quote), std::move(so)).planId;
+
+    // Activate as soon as the first affected replica's context is ready;
+    // the rest come online at their own progressive-resume times and the
+    // kept replicas never left.
+    sim_.scheduleAfter(first_resume, [this] { activate(); });
+}
+
+SpotServeSystem::QuotedSchedule
+SpotServeSystem::quoteSchedule(PendingMigration &pm)
+{
     // Quote the plan against the data plane's *current* link state: a
     // previous migration's tail may still occupy NIC/disk ports, and the
     // quote (not the planner's idle-link estimate) is what the §4.2
     // deadline decision below must judge.  The plan's step offsets,
     // stageReady and per-replica resumes are re-derived from the quoted
     // step finishes, so contention propagates into the activation events.
-    // The last quote taken is what the commit below reserves.
-    std::optional<TransferDataPlane::Quote> quote;
-    double duration = 0.0;
-    std::vector<double> resumes;
+    // A plan whose interleaved schedule could not beat the serialized
+    // cursor still runs through the data plane, just with per-step wire
+    // barriers.  The last quote taken is what startMigration commits.
+    PlannerOptions popts = plannerOptions(pm.migrateCache);
+    QuotedSchedule sched;
     auto quote_plan = [&] {
-        if (options_.linkDataPlane) {
-            // A plan whose interleaved schedule could not beat the
-            // serialized cursor still runs through the data plane, just
-            // with per-step wire barriers — either way the executed
-            // timeline is a feasible link schedule built from live link
-            // state.
-            quote = dataPlane_.preview(
-                MigrationPlanner::transferSteps(pm.plan),
-                params_.migrationSetupTime, pm.plan.linkScheduled);
-            planner_.retime(pm.plan, pm.target, popts, quote->stepStart,
-                            quote->stepFinish);
-        }
-        duration = pm.plan.totalDuration;
-        resumes = pm.plan.pipelineResume;
-        if (resumes.empty())
-            resumes.assign(pm.target.dp, pm.plan.resumeOffset);
+        sched.quote = dataPlane_.preview(
+            MigrationPlanner::transferSteps(pm.plan),
+            params_.migrationSetupTime, pm.plan.linkScheduled);
+        planner_.retime(pm.plan, pm.target, popts, sched.quote.stepStart,
+                        sched.quote.stepFinish);
+        sched.duration = pm.plan.totalDuration;
+        sched.resumes = pm.plan.pipelineResume;
+        if (sched.resumes.empty())
+            sched.resumes.assign(pm.target.dp, pm.plan.resumeOffset);
     };
     quote_plan();
-    bool cache_ok = pm.migrateCache && pm.plan.cacheMigrated;
 
     // Fault tolerance (§4.2): if the plan cannot finish inside the
     // earliest grace deadline, first give up the cache context; weights
@@ -755,195 +768,141 @@ SpotServeSystem::startMigration()
     // after the drain consumed most of the grace period, so it re-plans
     // against the *current* holdings — a migration source may have died
     // since beginReconfig and the schedule must not pretend otherwise.
-    if (pm.deadline != sim::kTimeInfinity) {
-        double remaining = pm.deadline - sim_.now();
-        if (duration > remaining && cache_ok) {
-            cache_ok = false;
+    const double remaining = pm.deadline - sim_.now();
+    if (pm.deadline != sim::kTimeInfinity && sched.duration > remaining) {
+        if (pm.plan.cacheMigrated) {
             popts.migrateCache = false;
             pm.plan = planner_.plan(snapshotContext(), pm.mapping, pm.target,
                                     pm.oldTokens, popts);
             quote_plan();
         }
-        if (duration > remaining && remaining >= 0.0) {
-            const double overflow = duration - remaining;
+        if (sched.duration > remaining && remaining >= 0.0) {
+            const double overflow = sched.duration - remaining;
             const double slowdown =
                 params_.interBandwidth / params_.diskBandwidth;
-            duration = remaining + overflow * slowdown;
-            resumes.assign(pm.target.dp, duration);
+            sched.duration = remaining + overflow * slowdown;
+            sched.resumes.assign(pm.target.dp, sched.duration);
         }
     }
 
     // A deployment built from nothing also pays the engine launch.
     if (!pm.hadDeployment) {
-        duration += params_.engineRestartTime;
-        for (double &r : resumes)
+        sched.duration += params_.engineRestartTime;
+        for (double &r : sched.resumes)
             r += params_.engineRestartTime;
     }
+    return sched;
+}
 
-    pm.resumeAbs.resize(pm.target.dp);
-    double first_resume = duration;
-    double affected_resume = 0.0;
-    bool any_affected = false;
-    for (int d = 0; d < pm.target.dp; ++d) {
-        if (pm.keptOldPipeline[d] >= 0) {
-            // Kept replicas never stop; they are "resumed" already.
-            pm.resumeAbs[d] = sim_.now();
-            continue;
-        }
-        pm.resumeAbs[d] = sim_.now() + resumes[d];
-        first_resume = std::min(first_resume, resumes[d]);
-        affected_resume = std::max(affected_resume, resumes[d]);
-        any_affected = true;
-    }
-    if (!any_affected)
-        first_resume = 0.0; // membership-only relabel: activate now
-
-    // Assign inherited batches to the new replicas.
+void
+SpotServeSystem::inheritBatches(
+    PendingMigration &pm,
+    std::vector<std::vector<engine::ActiveRequest>> batches)
+{
     pm.inherited.assign(pm.target.dp, {});
     std::vector<bool> consumed(batches.size(), false);
-    for (int d = 0; d < pm.target.dp; ++d) {
-        const int od = pm.keptOldPipeline[d];
+    for (int od : pm.keptOldPipeline) {
         if (od >= 0 && od < static_cast<int>(consumed.size()))
             consumed[od] = true; // batch stayed inside the live pipeline
     }
-    if (cache_ok) {
-        for (int d = 0; d < pm.target.dp; ++d) {
-            if (pm.keptOldPipeline[d] >= 0)
-                continue; // serving through; nothing to hand over
-            const int od = pm.mapping.inheritedOldPipeline[d];
-            if (od < 0 || od >= static_cast<int>(batches.size()))
-                continue;
-            consumed[od] = true;
-            auto &batch = batches[od];
-            // Continuous batching drains mixed-progress batches: recover
-            // each request's committed KV individually — decode tokens
-            // and prefill chunks alike.  Requests with any committed KV
-            // ride in the inherited batch of the replica that receives
-            // their cache, so the chunk KV stays accounted against that
-            // replica's budget from the moment it activates (a
-            // mid-prefill request resumes from its last chunk there).
-            // Requests that never committed anything recompute from the
-            // queue.
-            std::vector<engine::ActiveRequest> recovered;
-            std::vector<engine::ActiveRequest> lost;
-            for (auto &r : batch)
-                (r.kvTokensHeld() > 0 ? recovered : lost)
-                    .push_back(std::move(r));
-            batch.clear();
-            restartAndRequeue(std::move(lost));
-            // The new configuration may hold fewer concurrent requests
-            // (batch slots) or less KV cache (token budget): keep the
-            // most-progressed cache contexts, displaced ones recompute
-            // (§3.3).  Requests are charged under the active admission
-            // mode, so an optimistic deployment inherits as many cache
-            // contexts as their charges say fit — predicted footprints
-            // for never-restarted requests (mid-prefill ones included),
-            // full worst-case peaks for previously restarted ones (the
-            // storm guard applies across reconfigurations too).
-            std::stable_sort(recovered.begin(), recovered.end(),
-                             [](const engine::ActiveRequest &a,
-                                const engine::ActiveRequest &b) {
-                                 return a.kvTokensHeld() > b.kvTokensHeld();
-                             });
-            // Trimming charges whole KV blocks against the inheriting
-            // replica's block budget — the same denomination every
-            // admission path uses, so an inherited mid-prefill batch can
-            // never stand on more blocks than the new replica's paged
-            // allocator could hand out.
-            const long budget = replicaKvBudgetBlocks(pm.target);
-            const int blk = effectiveKvBlockTokens(pm.target);
-            const engine::KvAdmissionMode mode =
-                engineOptions().kvAdmissionMode;
-            // With prefix sharing the inheriting replica holds (and the
-            // migration transfers) each complete shared prefix block
-            // once for the whole cohort: later members carrying a
-            // (class, level) pair an earlier kept member already brought
-            // are not charged for it again.  The store re-attaches the
-            // inherited batch with exactly this dedup, so the trim
-            // matches what the replica will really hold.  A member
-            // carries its class's levels [0, n), so the cohort's levels of
-            // a class are [0, most carried so far) and the overlap with a
-            // new member is the smaller of the two counts.
-            std::vector<std::pair<int, long>> cohort_levels;
-            long charged = 0;
-            std::size_t keep = 0;
-            while (keep < recovered.size() &&
-                   static_cast<int>(keep) < pm.target.batch) {
-                const auto &r = recovered[keep];
-                long charge = r.kvChargedBlocks(mode, blk);
-                if (engineOptions().prefixSharing &&
-                    r.request.prefixId >= 0) {
-                    const long levels =
-                        std::min<long>(r.kvTokensHeld(),
-                                       r.request.prefixLen) /
-                        blk;
-                    auto cls = std::find_if(
-                        cohort_levels.begin(), cohort_levels.end(),
-                        [&r](const auto &c) {
-                            return c.first == r.request.prefixId;
-                        });
-                    if (cls == cohort_levels.end())
-                        cls = cohort_levels.insert(
-                            cohort_levels.end(), {r.request.prefixId, 0L});
-                    // Blocks already carried by the cohort are free.
-                    charge -= std::min(levels, cls->second);
-                    cls->second = std::max(cls->second, levels);
-                    charge = std::max(charge, 0L);
-                }
-                if (charged + charge > budget)
-                    break;
-                charged += charge;
-                ++keep;
-            }
-            if (keep < recovered.size()) {
-                std::vector<engine::ActiveRequest> displaced(
-                    std::make_move_iterator(recovered.begin() + keep),
-                    std::make_move_iterator(recovered.end()));
-                recovered.resize(keep);
-                restartAndRequeue(std::move(displaced));
-            }
-            pm.inherited[d] = std::move(recovered);
-        }
+    // The plan carries the cache only when the arranger kept it and the
+    // §4.2 deadline fallback did not drop it.
+    for (int d = 0; pm.plan.cacheMigrated && d < pm.target.dp; ++d) {
+        if (pm.keptOldPipeline[d] >= 0)
+            continue; // serving through; nothing to hand over
+        const int od = pm.mapping.inheritedOldPipeline[d];
+        if (od < 0 || od >= static_cast<int>(batches.size()))
+            continue;
+        consumed[od] = true;
+        // Continuous batching drains mixed-progress batches: recover each
+        // request's committed KV individually — decode tokens and prefill
+        // chunks alike.  Requests with any committed KV ride in the
+        // inherited batch of the replica that receives their cache, so
+        // the chunk KV stays accounted against that replica's budget from
+        // the moment it activates (a mid-prefill request resumes from its
+        // last chunk there).  Requests that never committed anything
+        // recompute from the queue.
+        std::vector<engine::ActiveRequest> recovered;
+        std::vector<engine::ActiveRequest> lost;
+        for (auto &r : batches[od])
+            (r.kvTokensHeld() > 0 ? recovered : lost).push_back(std::move(r));
+        batches[od].clear();
+        restartAndRequeue(std::move(lost));
+        trimInherited(recovered, pm.target);
+        pm.inherited[d] = std::move(recovered);
     }
     for (std::size_t od = 0; od < batches.size(); ++od) {
         if (!consumed[od] && !batches[od].empty())
             restartAndRequeue(std::move(batches[od]));
     }
+}
 
-    totalBytesMigrated_ += pm.plan.movedModelBytes + pm.plan.movedCacheBytes;
-    totalBytesReused_ += pm.plan.reusedBytes;
-    // Only the affected replicas ever stalled: the serving stall of this
-    // reconfiguration is their critical path, not the full plan span.
-    totalMigrationStall_ += affected_resume;
-    totalMigrationMakespan_ += duration;
-    migrationTailUntil_ = sim_.now() + duration;
-
-    // Commit the schedule: the data plane reserves every link slice it
-    // occupies, so a migration submitted while this one drains is quoted
-    // — and executed — behind (or interleaved around) it.  The failure
-    // callback makes the transfer crash-consistent: an unannounced death
-    // of a source/destination, or a link fault stretching the plan past
-    // its deadline, aborts into the recovery path instead of pretending
-    // the context landed.
-    if (options_.linkDataPlane) {
-        TransferDataPlane::SubmitOptions so;
-        so.onFail = [this, fault_epoch](
-                        const TransferDataPlane::PlanFailure &failure) {
-            onMigrationFailed(fault_epoch, failure);
-        };
-        // Headroom over the quoted makespan: only a link fault that
-        // stretches the realized schedule can trip the deadline.
-        so.deadline =
-            kMigrationDeadlineFactor * std::max(pm.plan.totalDuration, 1.0);
-        const auto committed =
-            dataPlane_.submit(std::move(*quote), std::move(so));
-        pm.planId = committed.planId;
+void
+SpotServeSystem::trimInherited(std::vector<engine::ActiveRequest> &batch,
+                               const par::ParallelConfig &target)
+{
+    // The new configuration may hold fewer concurrent requests (batch
+    // slots) or less KV cache (token budget): keep the most-progressed
+    // cache contexts, displaced ones recompute (§3.3).  Requests are
+    // charged under the active admission mode, so an optimistic
+    // deployment inherits as many cache contexts as their charges say fit
+    // — predicted footprints for never-restarted requests (mid-prefill
+    // ones included), full worst-case peaks for previously restarted ones
+    // (the storm guard applies across reconfigurations too).
+    std::stable_sort(batch.begin(), batch.end(),
+                     [](const engine::ActiveRequest &a,
+                        const engine::ActiveRequest &b) {
+                         return a.kvTokensHeld() > b.kvTokensHeld();
+                     });
+    // Trimming charges whole KV blocks against the inheriting replica's
+    // block budget — the same denomination every admission path uses, so
+    // an inherited mid-prefill batch can never stand on more blocks than
+    // the new replica's paged allocator could hand out.
+    const long budget = replicaKvBudgetBlocks(target);
+    const int blk = effectiveKvBlockTokens(target);
+    const engine::KvAdmissionMode mode = engineOptions().kvAdmissionMode;
+    // With prefix sharing the inheriting replica holds (and the migration
+    // transfers) each complete shared prefix block once for the whole
+    // cohort: later members carrying a (class, level) pair an earlier
+    // kept member already brought are not charged for it again.  The
+    // store re-attaches the inherited batch with exactly this dedup, so
+    // the trim matches what the replica will really hold.  A member
+    // carries its class's levels [0, n), so the cohort's levels of a
+    // class are [0, most carried so far) and the overlap with a new
+    // member is the smaller of the two counts.
+    std::vector<std::pair<int, long>> cohort_levels;
+    long charged = 0;
+    std::size_t keep = 0;
+    while (keep < batch.size() && static_cast<int>(keep) < target.batch) {
+        const auto &r = batch[keep];
+        long charge = r.kvChargedBlocks(mode, blk);
+        if (engineOptions().prefixSharing && r.request.prefixId >= 0) {
+            const long levels =
+                std::min<long>(r.kvTokensHeld(), r.request.prefixLen) / blk;
+            auto cls = std::find_if(cohort_levels.begin(),
+                                    cohort_levels.end(), [&r](const auto &c) {
+                                        return c.first == r.request.prefixId;
+                                    });
+            if (cls == cohort_levels.end())
+                cls = cohort_levels.insert(cohort_levels.end(),
+                                           {r.request.prefixId, 0L});
+            // Blocks already carried by the cohort are free.
+            charge -= std::min(levels, cls->second);
+            cls->second = std::max(cls->second, levels);
+            charge = std::max(charge, 0L);
+        }
+        if (charged + charge > budget)
+            break;
+        charged += charge;
+        ++keep;
     }
-
-    // Activate as soon as the first affected replica's context is ready;
-    // the rest come online at their own progressive-resume times and the
-    // kept replicas never left.
-    sim_.scheduleAfter(first_resume, [this] { activate(); });
+    if (keep < batch.size()) {
+        std::vector<engine::ActiveRequest> displaced(
+            std::make_move_iterator(batch.begin() + keep),
+            std::make_move_iterator(batch.end()));
+        batch.resize(keep);
+        restartAndRequeue(std::move(displaced));
+    }
 }
 
 void
@@ -995,9 +954,8 @@ SpotServeSystem::activate()
         }
         // A replica whose context depended on a lost transfer step must
         // not come up on garbage, even though its own instances live.
-        const bool failed = pm.hadFailure && !was_kept[d] &&
-                            d < static_cast<int>(pm.failedReplica.size()) &&
-                            pm.failedReplica[d];
+        // (onMigrationFailed never marks a kept replica.)
+        const bool failed = pm.failedReplica[d];
         if (!alive || failed) {
             // A kept pipeline's live batch is requeued with the rest.
             if (pm.hadFailure) {
@@ -1136,28 +1094,25 @@ SpotServeSystem::abortFailedMigration(bool cold_restart)
             requestsRecovered_ += static_cast<long>(batch.size());
         restartAndRequeue(std::move(batch));
     }
-    if (cold_restart) {
-        // The ablation still must not lose work — crash consistency of
-        // the request queue is an invariant, not a feature flag — but it
-        // gives up every kept replica and all landed context, then pays a
-        // cold deployment from scratch.
-        suspendServing();
-        scheduleEval();
-        return;
+    if (!cold_restart) {
+        // Kept replicas (if any) are still live inside the old deployment
+        // and keep serving through the retry; the scheduled activate()
+        // no-ops on the phase check.
+        phase_ = hasDeployment() ? Phase::Serving : Phase::Idle;
+        pendingReconfig_ = false;
+        dispatchAll();
     }
-    // Kept replicas (if any) are still live inside the old deployment and
-    // keep serving through the retry; the scheduled activate() no-ops on
-    // the phase check.
-    phase_ = hasDeployment() ? Phase::Serving : Phase::Idle;
-    pendingReconfig_ = false;
-    dispatchAll();
-    scheduleRetryEval();
+    // The ablation still must not lose work — crash consistency of the
+    // request queue is an invariant, not a feature flag — but it gives up
+    // every kept replica and all landed context, then pays a cold
+    // deployment from scratch.
+    scheduleRetryEval(cold_restart);
 }
 
 void
-SpotServeSystem::scheduleRetryEval()
+SpotServeSystem::scheduleRetryEval(bool cold_restart)
 {
-    if (migrationRetryCount_ >= kMigrationMaxRetries) {
+    if (cold_restart || migrationRetryCount_ >= kMigrationMaxRetries) {
         // Bounded: beyond the retry budget stop thrashing, tear down and
         // rebuild cold.
         migrationRetryCount_ = 0;

@@ -20,15 +20,19 @@
  * Reconfiguration overlaps with serving end to end: planning is a costed,
  * scheduled event (PlanningLatencyModel) rather than an instantaneous
  * global stall, and only the replicas whose mesh members are lost or
- * reassigned drain.  The pre-overlap behaviour — instantaneous planning,
- * whole-deployment drain — stays selectable as overlappedReconfig = false
- * for the Figure 9-style ablation.  Every paper component can likewise be
- * disabled independently.  The serving engine underneath (continuous
- * batching, KV-budget admission, paged KV, prefix sharing) and the loop
- * around the controller (serving::BaseServingSystem: coalesced
- * evaluation, design-rate floors, voluntary-change gate, workload
- * monitor) are shared with the baselines; this class adds the controller
- * ablation, dynamic fleet management and the phases above.
+ * reassigned drain.  Every context migration is quoted, retimed and
+ * committed on the shared core::TransferDataPlane, so concurrent
+ * migrations contend for links and a death of a transfer endpoint fails
+ * the plan into the recovery path.  The pre-overlap behaviour —
+ * instantaneous planning, whole-deployment drain — stays selectable as
+ * overlappedReconfig = false for the Figure 9-style ablation.  Every
+ * paper component can likewise be disabled independently.  The serving
+ * engine underneath (continuous batching, KV-budget admission, paged KV,
+ * prefix sharing) and the loop around the controller
+ * (serving::BaseServingSystem: coalesced evaluation, design-rate floors,
+ * voluntary-change gate, workload monitor) are shared with the
+ * baselines; this class adds the controller ablation, dynamic fleet
+ * management and the phases above.
  */
 
 #ifndef SPOTSERVE_CORE_SPOTSERVE_SYSTEM_H
@@ -99,19 +103,6 @@ struct SpotServeOptions
      * whole-deployment drain, the pre-overlap behaviour.
      */
     bool overlappedReconfig = true;
-
-    /**
-     * Drive context migration through the link-level transfer data plane
-     * (the default): the planner times its steps with cost::LinkSchedule
-     * (interleaved, contention-free link slices) and startMigration
-     * schedules them on core::TransferDataPlane, so concurrent
-     * migrations contend for shared NIC/PCIe/disk links and disjoint
-     * instance pairs genuinely overlap.  Disable for the legacy
-     * serialized-cursor timing (the fig-style ablation): every step's
-     * closed-form port-bottleneck time back to back, no cross-migration
-     * contention.
-     */
-    bool linkDataPlane = true;
 
     /**
      * Crash-consistent recovery from unannounced faults (hard
@@ -221,16 +212,15 @@ class SpotServeSystem : public serving::BaseServingSystem
                          const std::string &reason);
 
     /** The planning pass completed: re-decide on fresh state and commit. */
-    void finishPlanning();
+    void finishPlanning(const std::string &reason);
 
     /**
-     * The one reconfiguration gate evaluate() and finishPlanning() share:
-     * true when the remap is forced (no deployment, a mesh member dying
-     * or gone, a broken replica) or the voluntary change passes
-     * worthReconfiguring.
+     * The reconfiguration gate evaluate() and finishPlanning() share: the
+     * config to move to, if any (no decision suspends serving).
      */
-    bool shouldReconfigure(const ControllerDecision &decision,
-                           double alpha) const;
+    std::optional<par::ParallelConfig>
+    reconfigTarget(const std::optional<ControllerDecision> &decision,
+                   double alpha);
 
     /** Modeled wall-clock of the planning pass just performed. */
     double planningDuration(const par::ParallelConfig &target,
@@ -246,12 +236,80 @@ class SpotServeSystem : public serving::BaseServingSystem
     std::optional<ControllerDecision> decide(int instances,
                                              double alpha) const;
 
-    /** Kick off draining toward @p target. */
+    /** In-flight reconfiguration state. */
+    struct PendingMigration
+    {
+        par::ParallelConfig target;
+        MappingResult mapping;
+        MigrationPlan plan{};
+        std::vector<double> oldTokens;
+        std::string reason;
+        int waitingHalts = 0;
+        sim::SimTime deadline = sim::kTimeInfinity;
+        bool migrateCache = false;
+        bool hadDeployment = false;
+        /**
+         * keptOldPipeline[d] = old replica whose live pipeline the new
+         * replica d keeps in place (identical GPUs at identical
+         * positions, same shape), or -1.  Kept replicas never drain:
+         * their pipeline objects move into the new deployment at
+         * activation (overlapped mode only).
+         */
+        std::vector<int> keptOldPipeline{};
+        /** Batches assigned to each new replica at activation. */
+        std::vector<std::vector<engine::ActiveRequest>> inherited{};
+        /** Absolute per-replica progressive-resume times. */
+        std::vector<sim::SimTime> resumeAbs{};
+        /** Data-plane handle of the submitted schedule (-1: none). */
+        TransferDataPlane::PlanId planId = -1;
+        /** A fault hit the in-flight schedule. */
+        bool hadFailure = false;
+        /**
+         * failedReplica[d]: replica d's context depends on a transfer
+         * step that was lost — activate() requeues its inherited batch
+         * instead of bringing it up on garbage.
+         */
+        std::vector<bool> failedReplica{};
+
+        /** Old replica @p od serves through (every other one drains). */
+        bool keeps(int od) const;
+    };
+
+    /** A quoted schedule as it will run, relative to its start. */
+    struct QuotedSchedule
+    {
+        TransferDataPlane::Quote quote;
+        double duration = 0.0;
+        std::vector<double> resumes; ///< per new replica
+    };
+
+    /**
+     * Kick off draining toward @p target, in named steps: the pins the
+     * mapper keeps in place, the keep set, the drained work the arranger
+     * weighs, and the JIT halts of the drained replicas.
+     */
     void beginReconfig(const par::ParallelConfig &target,
                        const std::string &reason);
+    std::vector<ReplicaPin>
+    keepInPlacePins(const par::ParallelConfig &target,
+                    const std::vector<const cluster::Instance *> &survivors,
+                    const std::vector<double> &old_tokens) const;
+    std::vector<int> keptReplicas(PendingMigration &pm,
+                                  const std::vector<ReplicaPin> &pins);
+    double drainedWork(const PendingMigration &pm) const;
+    void arrangeHalts(double drained_work);
 
-    /** All pipelines drained: run the context migration. */
+    /**
+     * All pipelines drained: run the context migration, in named steps:
+     * the quote with its §4.2 deadline fallback, and the hand-over of the
+     * drained batches, trimmed to the new replicas' budgets.
+     */
     void startMigration();
+    QuotedSchedule quoteSchedule(PendingMigration &pm);
+    void inheritBatches(PendingMigration &pm,
+                        std::vector<std::vector<engine::ActiveRequest>> batches);
+    void trimInherited(std::vector<engine::ActiveRequest> &batch,
+                       const par::ParallelConfig &target);
 
     /** Migration (front) finished: install and resume. */
     void activate();
@@ -267,8 +325,8 @@ class SpotServeSystem : public serving::BaseServingSystem
      */
     void abortFailedMigration(bool cold_restart);
 
-    /** Retry with exponential backoff (bounded; cold restart beyond). */
-    void scheduleRetryEval();
+    /** Retry with exponential backoff (cold restart beyond the budget). */
+    void scheduleRetryEval(bool cold_restart = false);
 
     /** Drop notices whose instance is no longer awaiting preemption. */
     void pruneStaleNotices();
@@ -286,7 +344,7 @@ class SpotServeSystem : public serving::BaseServingSystem
 
     Phase phase_ = Phase::Idle;
     bool pendingReconfig_ = false;
-    /** True while beginReconfig iterates the pipelines to arrange halts. */
+    /** True while halts are arranged or a victim's replicas stop. */
     bool arrangingHalts_ = false;
     sim::SimTime migrationTailUntil_ = 0.0;
 
@@ -299,43 +357,6 @@ class SpotServeSystem : public serving::BaseServingSystem
      */
     std::map<cluster::InstanceId, sim::SimTime> notices_;
 
-    /** In-flight reconfiguration state. */
-    struct PendingMigration
-    {
-        par::ParallelConfig target;
-        MappingResult mapping;
-        MigrationPlan plan;
-        std::vector<double> oldTokens;
-        std::string reason;
-        int waitingHalts = 0;
-        sim::SimTime deadline = sim::kTimeInfinity;
-        bool migrateCache = true;
-        bool hadDeployment = false;
-        /**
-         * keptOldPipeline[d] = old replica whose live pipeline the new
-         * replica d keeps in place (identical GPUs at identical
-         * positions, same shape), or -1.  Kept replicas never drain:
-         * their pipeline objects move into the new deployment at
-         * activation (overlapped mode only).
-         */
-        std::vector<int> keptOldPipeline;
-        /** Old replicas that must drain (complement of the kept set). */
-        std::vector<bool> touchedOld;
-        /** Batches assigned to each new replica at activation. */
-        std::vector<std::vector<engine::ActiveRequest>> inherited;
-        /** Absolute per-replica progressive-resume times. */
-        std::vector<sim::SimTime> resumeAbs;
-        /** Data-plane handle of the submitted schedule (-1: none). */
-        TransferDataPlane::PlanId planId = -1;
-        /** A fault hit the in-flight schedule. */
-        bool hadFailure = false;
-        /**
-         * failedReplica[d]: replica d's context depends on a transfer
-         * step that was lost — activate() requeues its inherited batch
-         * instead of bringing it up on garbage.
-         */
-        std::vector<bool> failedReplica;
-    };
     std::optional<PendingMigration> pending_;
 
     /** Bumped at every activation; guards deferred replica start events. */
@@ -349,9 +370,6 @@ class SpotServeSystem : public serving::BaseServingSystem
 
     /** Fixed parallelism once chosen (controller ablation). */
     mutable std::optional<par::ParallelConfig> fixedParallelism_;
-
-    /** Reason carried from the planning request to the commit. */
-    std::string planReason_;
 
     int migrationsCompleted_ = 0;
     double totalMigrationStall_ = 0.0;

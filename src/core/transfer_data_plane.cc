@@ -177,8 +177,6 @@ TransferDataPlane::submit(Quote quote, SubmitOptions options)
     ++submissions_;
     if (quote.contended)
         ++contendedSubmissions_;
-    for (const auto &s : quote.steps)
-        totalBytesScheduled_ += stepBytes(s);
     plan.steps = std::move(quote.steps);
 
     Result out = std::move(static_cast<Result &>(quote));
@@ -259,7 +257,6 @@ TransferDataPlane::failPlan(PlanId id, int failed_instance, bool timed_out)
         else
             failure.lostBytes += bytes;
     }
-    totalBytesLost_ += failure.lostBytes;
     if (timed_out)
         ++planTimeouts_;
     else

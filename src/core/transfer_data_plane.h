@@ -196,13 +196,10 @@ class TransferDataPlane
     long submissions() const { return submissions_; }
     /** Submissions that found at least one of their links busy. */
     long contendedSubmissions() const { return contendedSubmissions_; }
-    double totalBytesScheduled() const { return totalBytesScheduled_; }
     /** Plans aborted by instance death. */
     long plansCancelled() const { return plansCancelled_; }
     /** Plans failed by their deadline. */
     long planTimeouts() const { return planTimeouts_; }
-    /** Bytes of aborted plans that never landed. */
-    double totalBytesLost() const { return totalBytesLost_; }
     /** @} */
 
   private:
@@ -249,10 +246,8 @@ class TransferDataPlane
     PlanId nextPlanId_ = 0;
     long submissions_ = 0;
     long contendedSubmissions_ = 0;
-    double totalBytesScheduled_ = 0.0;
     long plansCancelled_ = 0;
     long planTimeouts_ = 0;
-    double totalBytesLost_ = 0.0;
 };
 
 } // namespace core

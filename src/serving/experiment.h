@@ -91,7 +91,7 @@ struct ExperimentResult
      * Migration data-plane diagnostics (SpotServe systems only): plans
      * executed, their cumulative end-to-end makespan, and how many found
      * at least one of their links still busy from an earlier migration
-     * (fig8 serialized-wire ablation row).
+     * on the shared transfer data plane.
      * @{ */
     int migrationsCompleted = 0;
     double migrationMakespanTotal = 0.0;

@@ -69,9 +69,6 @@ class Simulation : public Executor
 
     EventOrder firingOrder() const override { return firing_; }
 
-    /** Pending-event count (live only). */
-    std::size_t pendingEvents() const { return queue_.size(); }
-
   private:
     /** Pop and run the earliest event. */
     void fireNext();

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <cstring>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "cluster/fault_injector.h"
@@ -432,7 +433,32 @@ struct ChaosCase
     std::uint64_t seed;
     engine::KvAdmissionMode admission;
     bool prefixSharing;
+    /** The system variant under chaos; the case sets the rate and engine. */
+    core::SpotServeOptions options{};
 };
+
+/**
+ * The five ablated cumulative Figure 9 variants (bench/fig9_ablation.cpp):
+ * synchronous reconfiguration, then the controller, migration planner,
+ * interruption arranger and device mapper disabled in turn.
+ */
+std::vector<core::SpotServeOptions>
+ablatedFig9Variants()
+{
+    std::vector<core::SpotServeOptions> out;
+    core::SpotServeOptions o;
+    o.overlappedReconfig = false;
+    out.push_back(o);
+    o.enableController = false;
+    out.push_back(o);
+    o.enableMigrationPlanner = false;
+    out.push_back(o);
+    o.enableArranger = false;
+    out.push_back(o);
+    o.enableDeviceMapper = false;
+    out.push_back(o);
+    return out;
+}
 
 /**
  * Move the plan's mid-migration kill to the hardened trace's first
@@ -468,7 +494,7 @@ armMigrationKillAtFirstChange(cluster::FaultPlan &plan,
 }
 
 serving::ExperimentResult
-runChaos(const ChaosCase &c, bool fault_recovery = true)
+runChaos(const ChaosCase &c)
 {
     const auto spec = model::ModelSpec::opt6_7b();
     const cost::SeqSpec seq{};
@@ -483,11 +509,10 @@ runChaos(const ChaosCase &c, bool fault_recovery = true)
         /*link_faults=*/2);
     armMigrationKillAtFirstChange(plan, trace);
 
-    core::SpotServeOptions options;
+    core::SpotServeOptions options = c.options;
     options.designArrivalRate = rate;
     options.engine.kvAdmissionMode = c.admission;
     options.engine.prefixSharing = c.prefixSharing;
-    options.faultRecovery = fault_recovery;
 
     sim::Rng rng(c.seed);
     const auto workload =
@@ -521,15 +546,27 @@ expectCrashConsistent(const serving::ExperimentResult &r)
 
 TEST(ChaosSweepTest, SpotServeSurvivesRandomFaultSchedules)
 {
-    const std::vector<ChaosCase> cases = {
+    std::vector<ChaosCase> cases = {
         {101, engine::KvAdmissionMode::Optimistic, true},
         {202, engine::KvAdmissionMode::Optimistic, false},
         {303, engine::KvAdmissionMode::Reserve, true},
         {404, engine::KvAdmissionMode::Reserve, false},
     };
+    // Every Figure 9 variant, synchronous reconfiguration included,
+    // commits its migrations on the transfer data plane, so the armed
+    // kill must fire in each: one hardened seed per ablated variant.
+    const auto variants = ablatedFig9Variants();
+    const std::size_t seeded = cases.size();
+    for (std::size_t v = 0; v < variants.size(); ++v) {
+        ChaosCase c = cases[v % seeded];
+        c.options = variants[v];
+        cases.push_back(c);
+    }
     long aborts = 0, recovered = 0, restarts = 0;
-    for (const auto &c : cases) {
-        SCOPED_TRACE("seed=" + std::to_string(c.seed));
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        const auto &c = cases[i];
+        SCOPED_TRACE("case " + std::to_string(i) +
+                     " seed=" + std::to_string(c.seed));
         const auto r = runChaos(c);
         expectCrashConsistent(r);
         // The armed mid-migration kill hit an in-flight transfer.
@@ -561,8 +598,9 @@ TEST(ChaosSweepTest, AblationWithoutRecoveryStaysConsistent)
 {
     // faultRecovery=false gives up salvage and pays cold restarts, but
     // the conservation invariants are not allowed to depend on the flag.
-    const ChaosCase c{505, engine::KvAdmissionMode::Optimistic, true};
-    const auto r = runChaos(c, /*fault_recovery=*/false);
+    ChaosCase c{505, engine::KvAdmissionMode::Optimistic, true};
+    c.options.faultRecovery = false;
+    const auto r = runChaos(c);
     expectCrashConsistent(r);
     EXPECT_EQ(r.salvagedBlocks, 0);
     EXPECT_EQ(r.migrationRetries, 0);

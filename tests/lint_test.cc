@@ -167,6 +167,36 @@ TEST(LintUnorderedIteration, OutsideScopedDirsAndSuppressedPass)
         1u);
 }
 
+TEST(LintStdio, EveryConsoleWriterFires)
+{
+    const auto report = scanFixtures();
+    const auto found =
+        violationsIn(report, "serving/stdio_violation.cc", "stdio");
+    // printf, fprintf, puts, cout, cerr, clog — one finding each; the
+    // member call, snprintf and the string/comment mentions stay quiet.
+    EXPECT_EQ(found.size(), 6u);
+    for (const std::string token :
+         {"printf", "fprintf", "puts", "cout", "cerr", "clog"}) {
+        const bool hit =
+            std::any_of(found.begin(), found.end(), [&](const auto *f) {
+                return f->message.find("'" + token + "'") !=
+                       std::string::npos;
+            });
+        EXPECT_TRUE(hit) << "no finding mentions " << token;
+    }
+}
+
+TEST(LintStdio, LoggerIsExemptAndSuppressionsWork)
+{
+    const auto report = scanFixtures();
+    for (const auto &f : report.findings)
+        EXPECT_NE(f.file, "simcore/logging.cc") << f.message;
+    EXPECT_TRUE(
+        violationsIn(report, "engine/stdio_suppressed.cc", "stdio").empty());
+    EXPECT_EQ(suppressionsIn(report, "engine/stdio_suppressed.cc").size(),
+              2u);
+}
+
 TEST(LintReport, RenderListsViolationsAndSuppressions)
 {
     const auto report = scanFixtures();
@@ -175,6 +205,7 @@ TEST(LintReport, RenderListsViolationsAndSuppressions)
     EXPECT_NE(rendered.find("[nondeterminism]"), std::string::npos);
     EXPECT_NE(rendered.find("[seam]"), std::string::npos);
     EXPECT_NE(rendered.find("[unordered-iteration]"), std::string::npos);
+    EXPECT_NE(rendered.find("[stdio]"), std::string::npos);
     EXPECT_NE(rendered.find("suppressions ("), std::string::npos);
 }
 

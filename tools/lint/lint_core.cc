@@ -208,6 +208,23 @@ bool isNondetAllowlisted(const std::string &rel)
     return files.count(rel) > 0;
 }
 
+/**
+ * Direct console output: the C stdio writers and the std streams.  Only
+ * simcore/logging.cc, the leveled logger every component goes through,
+ * may write to the console.
+ */
+const std::set<std::string> &bannedStdio()
+{
+    static const std::set<std::string> ids = {"printf", "fprintf", "puts",
+                                              "cout",   "cerr",    "clog"};
+    return ids;
+}
+
+bool isStdioAllowlisted(const std::string &rel)
+{
+    return rel == "simcore/logging.cc";
+}
+
 bool startsWith(const std::string &s, const std::string &prefix)
 {
     return s.rfind(prefix, 0) == 0;
@@ -344,6 +361,7 @@ void scanFile(const FileInput &in,
                            cross_file_members.end());
     const bool nondet = !isNondetAllowlisted(in.rel);
     const bool seam = !startsWith(in.rel, "simcore/");
+    const bool stdio = !isStdioAllowlisted(in.rel);
     const bool unordered = startsWith(in.rel, "core/") ||
                            startsWith(in.rel, "costmodel/");
 
@@ -417,6 +435,18 @@ void scanFile(const FileInput &in,
                                  "()' — wall-clock/OS-randomness reads "
                                  "live behind the executor seam");
                     }
+                }
+            }
+        }
+
+        if (stdio) {
+            for (const auto &tok : tokens) {
+                if (bannedStdio().count(tok.text) > 0 &&
+                    !precededByMemberOrForeignScope(code, tok.pos)) {
+                    emit(lineno, "stdio",
+                         "direct console output '" + tok.text +
+                             "' — log through sim::logInfo/logWarn "
+                             "(simcore/logging.h)");
                 }
             }
         }
@@ -541,7 +571,7 @@ void scanFile(const FileInput &in,
 const std::vector<std::string> &knownRules()
 {
     static const std::vector<std::string> rules = {
-        "nondeterminism", "seam", "unordered-iteration"};
+        "nondeterminism", "seam", "unordered-iteration", "stdio"};
     return rules;
 }
 

@@ -2,9 +2,10 @@
  * @file
  * spotserve_lint — domain-invariant checker for the SpotServe tree.
  *
- * Three rules the compiler cannot enforce, each guarding the
+ * Four rules the compiler cannot enforce.  The first three guard the
  * reproduction's determinism contract (the sim::Executor seam and the
- * golden wallclock hash):
+ * golden wallclock hash); the fourth keeps console output behind the
+ * logger:
  *
  *  - "nondeterminism": no wall-clock / sleep / OS-randomness APIs
  *    (steady_clock, system_clock, sleep_for, std::this_thread, rand,
@@ -27,6 +28,13 @@
  *    are not.  Declared-unordered variable names are collected across
  *    the whole scanned tree, so iterating a member declared in a header
  *    is caught in the .cc.
+ *
+ *  - "stdio": no printf / fprintf / puts / std::cout / std::cerr /
+ *    std::clog anywhere in src/ except simcore/logging.cc — library code
+ *    reports through the leveled logger (sim::logInfo, sim::logWarn), so
+ *    a bench's stdout carries only what the bench itself prints.
+ *    Member calls and non-std qualifications (x.printf, fmt::cout) and
+ *    buffer formatting (snprintf) are not console writes.
  *
  * Any rule can be suppressed for one line with an inline comment on the
  * same line or the immediately preceding comment-only line:
